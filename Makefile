@@ -125,10 +125,14 @@ cluster-e2e-full:
 bench:
 	$(GO) test -run='^$$' -bench=. -benchmem .
 
-# The zero-allocation guards for the precoding hot path, run explicitly so
-# a CI log shows them even though `make test` also covers them.
+# The allocation guards for the precoding hot path and the DES core, run
+# explicitly so a CI log shows them even though `make test` also covers
+# them: zero-alloc solver and workspace kernels; zero-alloc carrier-sense
+# and power queries on a warm mac.Air link table; at most one allocation
+# per Engine.Schedule + Run event; and no math/rand stream built by a
+# Split chain that only reads its seed.
 alloc-guard:
-	$(GO) test -run 'TestSolverZeroAlloc|TestWorkspaceZeroAlloc' -v ./internal/precoding ./internal/matrix
+	$(GO) test -run 'TestSolverZeroAlloc|TestWorkspaceZeroAlloc|TestAirQueriesZeroAlloc|TestEngineScheduleAllocs|TestSplitSeedBuildsNoStream' -v ./internal/precoding ./internal/matrix ./internal/mac ./internal/rng
 
 # Re-measure the kernel micro-benchmarks (before/after pairs against the
 # frozen pre-workspace implementations in internal/bench) plus reduced-

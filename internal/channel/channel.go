@@ -14,6 +14,7 @@ package channel
 import (
 	"fmt"
 	"math"
+	"sort"
 
 	"repro/internal/geom"
 	"repro/internal/matrix"
@@ -136,17 +137,34 @@ type Antenna struct {
 // Model generates channel realisations for a fixed set of antennas and
 // clients. Shadowing is drawn once per (antenna, client) pair at
 // construction — it models obstacles, which do not change across frames —
-// while small-scale fading can be redrawn or evolved per frame.
+// while small-scale fading can be redrawn or evolved per frame. The
+// distance path gain of each pair is likewise computed once, at
+// construction, from P as it was then.
 type Model struct {
 	P        Params
 	antennas []Antenna
 	clients  []geom.Point
 	field    *ShadowField
 	shadow   [][]float64 // [client][antenna] linear shadowing factor (cache)
+	pathLin  [][]float64 // [client][antenna] linear path gain, 1/path loss (cache)
+	txLin    float64     // P.TxPowerLinear()
 	correl   bool        // apply CAS correlation within AP groups
 	src      *rng.Source
 	// fading state for Evolve: [client][antenna] normalised CN(0,1) gains
 	fading [][]complex128
+
+	// groups are the CAS correlation groups, built once (nil unless
+	// correlation applies).
+	groups []corrGroup
+	raw    []complex128 // drawFadingRow's per-group scratch
+	innov  []complex128 // Evolve's innovation row, reused per client
+}
+
+// corrGroup is one AP's co-located antennas (two or more) and the
+// Cholesky factor of their exponential correlation matrix.
+type corrGroup struct {
+	idxs []int
+	l    [][]float64
 }
 
 // NewModel builds a channel model. correlated selects CAS-style antenna
@@ -161,11 +179,18 @@ func NewModel(p Params, antennas []Antenna, clients []geom.Point, correlated boo
 		src:      src.Split("channel"),
 	}
 	m.field = p.NewField(src.Split("shadow").Seed())
+	if correlated && p.CASCorrelation != 0 {
+		m.groupAntennas()
+	}
+	m.txLin = p.TxPowerLinear()
 	m.shadow = make([][]float64, len(clients))
+	m.pathLin = make([][]float64, len(clients))
 	for j := range clients {
 		m.shadow[j] = make([]float64, len(antennas))
+		m.pathLin[j] = make([]float64, len(antennas))
 		for k := range antennas {
 			m.shadow[j][k] = m.field.Shadow(antennas[k].Pos, clients[j])
+			m.pathLin[j][k] = stats.Linear(-p.PathLossDB(antennas[k].Pos.Dist(clients[j])))
 		}
 	}
 	m.redraw()
@@ -183,36 +208,55 @@ func (m *Model) NumAntennas() int { return len(m.antennas) }
 // NumClients returns the number of client positions.
 func (m *Model) NumClients() int { return len(m.clients) }
 
+// groupAntennas builds the correlation groups: antennas grouped by AP,
+// in AP order, with each group's Cholesky factor. Groups are disjoint,
+// so the order they are correlated in does not change any value.
+func (m *Model) groupAntennas() {
+	byAP := map[int][]int{}
+	var aps []int
+	for idx, a := range m.antennas {
+		if _, ok := byAP[a.AP]; !ok {
+			aps = append(aps, a.AP)
+		}
+		byAP[a.AP] = append(byAP[a.AP], idx)
+	}
+	sort.Ints(aps)
+	factors := map[int][][]float64{} // by group size
+	for _, ap := range aps {
+		idxs := byAP[ap]
+		n := len(idxs)
+		if n < 2 {
+			continue
+		}
+		if factors[n] == nil {
+			factors[n] = choleskyExpCorr(m.P.CASCorrelation, n)
+		}
+		m.groups = append(m.groups, corrGroup{idxs: idxs, l: factors[n]})
+		if n > len(m.raw) {
+			m.raw = make([]complex128, n)
+		}
+	}
+}
+
 // redraw resamples all small-scale fading from scratch.
 func (m *Model) redraw() {
 	m.fading = make([][]complex128, len(m.clients))
 	for j := range m.clients {
-		m.fading[j] = m.drawFadingRow()
+		m.fading[j] = make([]complex128, len(m.antennas))
+		m.drawFadingRow(m.fading[j])
 	}
 }
 
-// drawFadingRow returns CN(0,1) fading for one client across all antennas,
-// applying intra-AP correlation when configured.
-func (m *Model) drawFadingRow() []complex128 {
-	f := make([]complex128, len(m.antennas))
+// drawFadingRow fills f with CN(0,1) fading for one client across all
+// antennas, applying intra-AP correlation (the exponential model
+// R_ik = ρ^{|i-k|} via Cholesky) within each group.
+func (m *Model) drawFadingRow(f []complex128) {
 	for k := range f {
 		f[k] = m.src.ComplexCircular(1)
 	}
-	if !m.correl || m.P.CASCorrelation == 0 {
-		return f
-	}
-	// Group antennas by AP and correlate within each group using the
-	// exponential correlation model R_ik = ρ^{|i-k|} via Cholesky.
-	groups := map[int][]int{}
-	for idx, a := range m.antennas {
-		groups[a.AP] = append(groups[a.AP], idx)
-	}
-	for _, idxs := range groups {
-		if len(idxs) < 2 {
-			continue
-		}
-		l := choleskyExpCorr(m.P.CASCorrelation, len(idxs))
-		raw := make([]complex128, len(idxs))
+	for _, g := range m.groups {
+		idxs, l := g.idxs, g.l
+		raw := m.raw[:len(idxs)]
 		for i, idx := range idxs {
 			raw[i] = f[idx]
 		}
@@ -224,7 +268,6 @@ func (m *Model) drawFadingRow() []complex128 {
 			f[idx] = s
 		}
 	}
-	return f
 }
 
 // choleskyExpCorr returns the lower Cholesky factor of the n×n exponential
@@ -273,8 +316,12 @@ func (m *Model) Evolve() {
 		return
 	}
 	keep := complex(math.Sqrt(1-a*a), 0)
+	if len(m.innov) != len(m.antennas) {
+		m.innov = make([]complex128, len(m.antennas))
+	}
+	innov := m.innov
 	for j := range m.fading {
-		innov := m.drawFadingRow()
+		m.drawFadingRow(innov)
 		for k := range m.fading[j] {
 			m.fading[j][k] = keep*m.fading[j][k] + complex(a, 0)*innov[k]
 		}
@@ -289,8 +336,7 @@ func (m *Model) Resample() { m.redraw() }
 // to client j, in sqrt-milliwatt units per unit transmit amplitude: the
 // received power from power P on antenna k is |h_jk|²·P.
 func (m *Model) Gain(j, k int) complex128 {
-	d := m.antennas[k].Pos.Dist(m.clients[j])
-	pl := stats.Linear(-m.P.PathLossDB(d)) * m.shadow[j][k]
+	pl := m.pathLin[j][k] * m.shadow[j][k]
 	return complex(math.Sqrt(pl), 0) * m.fading[j][k]
 }
 
@@ -327,8 +373,7 @@ func identityIndex(n int) []int {
 // the long-term RSSI that MIDAS's virtual packet tagging ranks antennas by
 // (§3.2.4).
 func (m *Model) MeanRxPower(j, k int) float64 {
-	d := m.antennas[k].Pos.Dist(m.clients[j])
-	return m.P.TxPowerLinear() * stats.Linear(-m.P.PathLossDB(d)) * m.shadow[j][k]
+	return m.txLin * m.pathLin[j][k] * m.shadow[j][k]
 }
 
 // SNRdB returns the instantaneous single-antenna link SNR in dB from
@@ -361,4 +406,17 @@ func (m *Model) BestAntennaSNRdB(j int, antennaIdx []int) (int, float64) {
 func (p Params) PowerAtPoint(txPos, rxPos geom.Point, txPowerDBm float64) float64 {
 	d := txPos.Dist(rxPos)
 	return stats.Milliwatt(txPowerDBm - p.PathLossDB(d))
+}
+
+// LinkPower is the control-plane link budget: the received power (linear
+// mW) at rxPos from one antenna at txPos sending with txPowerDBm, through
+// path loss and the obstruction field f (nil for free space), without
+// small-scale fading. Carrier sensing, frame delivery, association and
+// the geometric MAC experiments all use this one expression, and
+// mac.Air's link table memoises exactly its value. The explicit
+// conversion rounds the product, so a caller that sums link powers gets
+// the same bits whether it calls LinkPower or reads a memoised value (Go
+// may otherwise fuse the multiply into the caller's add).
+func (p Params) LinkPower(f *ShadowField, txPos, rxPos geom.Point, txPowerDBm float64) float64 {
+	return float64(p.PowerAtPoint(txPos, rxPos, txPowerDBm) * f.Shadow(txPos, rxPos))
 }

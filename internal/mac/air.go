@@ -2,6 +2,8 @@ package mac
 
 import (
 	"fmt"
+	"math"
+	"slices"
 	"sort"
 	"time"
 
@@ -62,6 +64,11 @@ type Tx struct {
 // deliberately excluded from the control plane — sensing in the paper's
 // analysis is a property of positions — while the data plane computes
 // SINRs from the full fading channel (see internal/sim).
+//
+// Every link power the medium uses is channel.Params.LinkPower, computed
+// once per (transmit antenna, receive position, transmit power) and kept
+// in a link table for the Air's lifetime; the table is cleared when P or
+// Shadow is reassigned (or the field behind Shadow changes).
 type Air struct {
 	Eng            *Engine
 	P              channel.Params
@@ -73,33 +80,57 @@ type Air struct {
 	// local (and as irregular) as the paper's office walls make it.
 	Shadow *channel.ShadowField
 
-	listeners map[int]*Listener
+	// listeners, active and watchers are ordered by id: ids only grow,
+	// so registering appends and the slices stay sorted.
+	listeners []*listener
 	nextLis   int
-	active    map[int]*activeTx
+	active    []*activeTx
 	nextTx    int
-	watchers  map[int]*watcher
+	watchers  []*watcher
 	nextWatch int
+
+	links linkTable
+	// Linear-mW forms of CSThresholdDBm, DecodeMinDBm and
+	// P.NoiseFloorDBm, recomputed only when the dBm value changes.
+	csLin, decodeLin, noiseLin mwCache
 }
 
 // watcher tracks physical carrier-sense edges at one position.
 type watcher struct {
-	pos  geom.Point
+	id   int
+	pos  int32 // link-table position id
 	fn   func(busy bool)
 	busy bool
 }
 
+type listener struct {
+	id  int
+	pos int32 // link-table position id
+	fn  func(Rx)
+}
+
+// emitter is what the link budget needs of a transmission: its antennas'
+// link-table position ids and its transmit-power slot.
+type emitter struct {
+	ants []int32
+	slot int
+}
+
 type activeTx struct {
-	id      int
-	tx      Tx
-	start   time.Duration
-	end     time.Duration
-	overlap map[int]overlapSpan // transmissions that overlapped this one
+	id    int
+	em    emitter
+	data  []byte
+	start time.Duration
+	end   time.Duration
+	// overlap lists the transmissions that overlapped this one, in
+	// ascending id order (a later overlapper always has a larger id).
+	overlap []overlapSpan
 }
 
 // overlapSpan records an interfering transmission and the interval over
 // which it overlaps the owner.
 type overlapSpan struct {
-	tx       Tx
+	em       emitter
 	from, to time.Duration
 }
 
@@ -112,10 +143,15 @@ func NewAir(eng *Engine, p channel.Params) *Air {
 		CSThresholdDBm: DefaultCSThresholdDBm,
 		DecodeMinDBm:   DefaultDecodeMinDBm,
 		CaptureSINRdB:  DefaultCaptureSINRdB,
-		listeners:      map[int]*Listener{},
-		active:         map[int]*activeTx{},
-		watchers:       map[int]*watcher{},
 	}
+}
+
+// table returns the link table, first clearing its memoised powers if
+// the propagation inputs changed since they were computed.
+func (a *Air) table() *linkTable {
+	t := &a.links
+	t.sync(a.P, a.Shadow)
+	return t
 }
 
 // Watch registers a physical carrier-sense watcher at pos: fn fires on
@@ -124,78 +160,79 @@ func NewAir(eng *Engine, p channel.Params) *Air {
 func (a *Air) Watch(pos geom.Point, fn func(busy bool)) int {
 	id := a.nextWatch
 	a.nextWatch++
-	w := &watcher{pos: pos, fn: fn, busy: a.Busy(pos)}
-	a.watchers[id] = w
+	w := &watcher{id: id, pos: a.table().id(pos), fn: fn}
+	w.busy = a.busyAt(w.pos)
+	a.watchers = append(a.watchers, w)
 	fn(w.busy)
 	return id
 }
 
 // Unwatch removes a watcher.
-func (a *Air) Unwatch(id int) { delete(a.watchers, id) }
+func (a *Air) Unwatch(id int) {
+	if i, ok := findID(a.watchers, id, func(w *watcher) int { return w.id }); ok {
+		a.watchers = slices.Delete(a.watchers, i, i+1)
+	}
+}
 
 // notifyWatchers re-evaluates every watcher after a medium change, in
 // registration order.
 func (a *Air) notifyWatchers() {
-	ids := make([]int, 0, len(a.watchers))
-	for id := range a.watchers {
-		ids = append(ids, id)
-	}
-	sort.Ints(ids)
-	for _, id := range ids {
-		w := a.watchers[id]
-		if b := a.Busy(w.pos); b != w.busy {
+	for _, w := range a.watchers {
+		if b := a.busyAt(w.pos); b != w.busy {
 			w.busy = b
 			w.fn(b)
 		}
 	}
 }
 
-// activeIDs returns the active transmission ids in ascending order, so
-// float summation and delivery order are deterministic.
-func (a *Air) activeIDs() []int {
-	ids := make([]int, 0, len(a.active))
-	for id := range a.active {
-		ids = append(ids, id)
-	}
-	sort.Ints(ids)
-	return ids
-}
-
 // Listen registers a listener and returns its id.
 func (a *Air) Listen(l Listener) int {
 	id := a.nextLis
 	a.nextLis++
-	a.listeners[id] = &l
+	a.listeners = append(a.listeners, &listener{id: id, pos: a.table().id(l.Pos), fn: l.Fn})
 	return id
 }
 
 // Unlisten removes a listener.
-func (a *Air) Unlisten(id int) { delete(a.listeners, id) }
+func (a *Air) Unlisten(id int) {
+	if i, ok := findID(a.listeners, id, func(l *listener) int { return l.id }); ok {
+		a.listeners = slices.Delete(a.listeners, i, i+1)
+	}
+}
 
-// powerFrom returns the strongest-antenna receive power (linear mW) at pos
-// from the given transmission.
-func (a *Air) powerFrom(tx Tx, pos geom.Point) float64 {
+// findID binary-searches an id-ordered slice.
+func findID[T any](s []T, id int, idOf func(T) int) (int, bool) {
+	i := sort.Search(len(s), func(i int) bool { return idOf(s[i]) >= id })
+	return i, i < len(s) && idOf(s[i]) == id
+}
+
+// lookup returns the active transmission with the given id.
+func (a *Air) lookup(id int) (*activeTx, bool) {
+	i, ok := findID(a.active, id, func(at *activeTx) int { return at.id })
+	if !ok {
+		return nil, false
+	}
+	return a.active[i], true
+}
+
+// powerFrom returns the strongest-antenna receive power (linear mW) at
+// position id to from the emitter.
+func (t *linkTable) powerFrom(e emitter, to int32) float64 {
 	best := 0.0
-	for _, ant := range tx.Antennas {
-		if p := a.linkPower(ant, pos, tx.PowerDBm); p > best {
+	for _, ant := range e.ants {
+		if p := t.power(e.slot, ant, to); p > best {
 			best = p
 		}
 	}
 	return best
 }
 
-// linkPower is the control-plane link budget: path loss plus the shared
-// shadow field.
-func (a *Air) linkPower(from, to geom.Point, powerDBm float64) float64 {
-	return a.P.PowerAtPoint(from, to, powerDBm) * a.Shadow.Shadow(from, to)
-}
-
-// sumPowerFrom returns the total receive power at pos from all antennas of
-// the transmission (interference adds across antennas).
-func (a *Air) sumPowerFrom(tx Tx, pos geom.Point) float64 {
+// sumPowerFrom returns the total receive power at position id to from
+// all antennas of the emitter (interference adds across antennas).
+func (t *linkTable) sumPowerFrom(e emitter, to int32) float64 {
 	sum := 0.0
-	for _, ant := range tx.Antennas {
-		sum += a.linkPower(ant, pos, tx.PowerDBm)
+	for _, ant := range e.ants {
+		sum += t.power(e.slot, ant, to)
 	}
 	return sum
 }
@@ -203,19 +240,32 @@ func (a *Air) sumPowerFrom(tx Tx, pos geom.Point) float64 {
 // PowerAt returns the aggregate active transmit power (linear mW) at pos,
 // excluding transmission id exclude (-1 for none).
 func (a *Air) PowerAt(pos geom.Point, exclude int) float64 {
+	return a.powerAt(a.table().id(pos), exclude)
+}
+
+// powerAt sums the active transmissions' power at position id to, in
+// ascending transmission id order so float summation is deterministic.
+// Like every unexported query it reads the link table as is: the
+// exported entry points sync it first.
+func (a *Air) powerAt(to int32, exclude int) float64 {
+	t := &a.links
 	sum := 0.0
-	for _, id := range a.activeIDs() {
-		if id == exclude {
+	for _, at := range a.active {
+		if at.id == exclude {
 			continue
 		}
-		sum += a.sumPowerFrom(a.active[id].tx, pos)
+		sum += t.sumPowerFrom(at.em, to)
 	}
 	return sum
 }
 
 // Busy reports whether the medium is physically sensed busy at pos.
 func (a *Air) Busy(pos geom.Point) bool {
-	return a.PowerAt(pos, -1) >= stats.Milliwatt(a.CSThresholdDBm)
+	return a.busyAt(a.table().id(pos))
+}
+
+func (a *Air) busyAt(to int32) bool {
+	return a.powerAt(to, -1) >= a.csLin.get(a.CSThresholdDBm)
 }
 
 // ActiveCount returns the number of in-flight transmissions.
@@ -238,52 +288,55 @@ func (a *Air) StartTx(tx Tx) (int, error) {
 	now := a.Eng.Now()
 	at := &activeTx{
 		id:      id,
-		tx:      tx,
+		em:      a.emitterOf(tx),
+		data:    tx.Data,
 		start:   now,
 		end:     now + tx.Airtime,
-		overlap: map[int]overlapSpan{},
+		overlap: make([]overlapSpan, 0, len(a.active)),
 	}
 	// Mutual overlap bookkeeping with everything currently active.
-	for _, oid := range a.activeIDs() {
-		other := a.active[oid]
+	for _, other := range a.active {
 		to := at.end
 		if other.end < to {
 			to = other.end
 		}
-		other.overlap[id] = overlapSpan{tx: tx, from: now, to: to}
-		at.overlap[oid] = overlapSpan{tx: other.tx, from: now, to: to}
+		other.overlap = append(other.overlap, overlapSpan{em: at.em, from: now, to: to})
+		at.overlap = append(at.overlap, overlapSpan{em: other.em, from: now, to: to})
 	}
-	a.active[id] = at
+	a.active = append(a.active, at)
 	a.Eng.Schedule(tx.Airtime, func() { a.endTx(at) })
 	a.notifyWatchers()
 	return id, nil
 }
 
+// emitterOf interns a transmission's antennas and transmit power,
+// syncing the link table first.
+func (a *Air) emitterOf(tx Tx) emitter {
+	t := a.table()
+	e := emitter{ants: make([]int32, len(tx.Antennas)), slot: t.slot(tx.PowerDBm)}
+	for i, p := range tx.Antennas {
+		e.ants[i] = t.id(p)
+	}
+	return e
+}
+
 func (a *Air) endTx(at *activeTx) {
-	delete(a.active, at.id)
+	t := a.table()
+	if i, ok := findID(a.active, at.id, func(at *activeTx) int { return at.id }); ok {
+		a.active = slices.Delete(a.active, i, i+1)
+	}
 	a.notifyWatchers()
-	noise := a.P.NoiseLinear()
-	minPower := stats.Milliwatt(a.DecodeMinDBm)
-	lisIDs := make([]int, 0, len(a.listeners))
-	for id := range a.listeners {
-		lisIDs = append(lisIDs, id)
-	}
-	sort.Ints(lisIDs)
-	oids := make([]int, 0, len(at.overlap))
-	for oid := range at.overlap {
-		oids = append(oids, oid)
-	}
-	sort.Ints(oids)
-	for _, lid := range lisIDs {
-		l := a.listeners[lid]
-		sig := a.powerFrom(at.tx, l.Pos)
+	noise := a.noiseLin.get(a.P.NoiseFloorDBm)
+	minPower := a.decodeLin.get(a.DecodeMinDBm)
+	for _, l := range a.listeners {
+		sig := t.powerFrom(at.em, l.pos)
 		interf := 0.0
-		for _, oid := range oids {
-			interf += a.sumPowerFrom(at.overlap[oid].tx, l.Pos)
+		for _, sp := range at.overlap {
+			interf += t.sumPowerFrom(sp.em, l.pos)
 		}
 		sinr := stats.DB(sig / (noise + interf))
 		rx := Rx{
-			Data:      at.tx.Data,
+			Data:      at.data,
 			PowerDBm:  stats.DBm(sig),
 			SINRdB:    sinr,
 			Decodable: sig >= minPower && sinr >= a.CaptureSINRdB,
@@ -291,7 +344,7 @@ func (a *Air) endTx(at *activeTx) {
 			Start:     at.start,
 			End:       at.end,
 		}
-		l.Fn(rx)
+		l.fn(rx)
 	}
 }
 
@@ -313,25 +366,17 @@ func (a *Air) CSRange() float64 {
 // so far. The MU-MIMO data plane samples this just before a burst ends to
 // include other-cell interference in its stream SINRs.
 func (a *Air) OverlapInterference(id int, pos geom.Point) float64 {
-	at, ok := a.active[id]
+	at, ok := a.lookup(id)
 	if !ok {
 		return 0
 	}
+	t := a.table()
+	to := t.id(pos)
 	sum := 0.0
-	for _, oid := range overlapIDs(at) {
-		sum += a.sumPowerFrom(at.overlap[oid].tx, pos)
+	for _, sp := range at.overlap {
+		sum += t.sumPowerFrom(sp.em, to)
 	}
 	return sum
-}
-
-// overlapIDs returns an active transmission's overlapper ids in order.
-func overlapIDs(at *activeTx) []int {
-	ids := make([]int, 0, len(at.overlap))
-	for id := range at.overlap {
-		ids = append(ids, id)
-	}
-	sort.Ints(ids)
-	return ids
 }
 
 // WeightedInterference returns the time-averaged interference power
@@ -341,7 +386,7 @@ func overlapIDs(at *activeTx) []int {
 // long data burst's Shannon rate; control-frame decoding keeps the
 // worst-case OverlapInterference.
 func (a *Air) WeightedInterference(id int, pos geom.Point) float64 {
-	at, ok := a.active[id]
+	at, ok := a.lookup(id)
 	if !ok {
 		return 0
 	}
@@ -349,9 +394,10 @@ func (a *Air) WeightedInterference(id int, pos geom.Point) float64 {
 	if dur <= 0 {
 		return 0
 	}
+	t := a.table()
+	to := t.id(pos)
 	sum := 0.0
-	for _, oid := range overlapIDs(at) {
-		sp := at.overlap[oid]
+	for _, sp := range at.overlap {
 		frac := float64(sp.to-sp.from) / float64(dur)
 		if frac < 0 {
 			frac = 0
@@ -359,7 +405,7 @@ func (a *Air) WeightedInterference(id int, pos geom.Point) float64 {
 		if frac > 1 {
 			frac = 1
 		}
-		sum += a.sumPowerFrom(sp.tx, pos) * frac
+		sum += t.sumPowerFrom(sp.em, to) * frac
 	}
 	return sum
 }
@@ -367,7 +413,7 @@ func (a *Air) WeightedInterference(id int, pos geom.Point) float64 {
 // OverlapCount returns the number of transmissions that have overlapped
 // the active transmission id so far.
 func (a *Air) OverlapCount(id int) int {
-	at, ok := a.active[id]
+	at, ok := a.lookup(id)
 	if !ok {
 		return 0
 	}
@@ -377,9 +423,119 @@ func (a *Air) OverlapCount(id int) int {
 // TxSignalAt returns the strongest-antenna receive power (linear mW) at
 // pos from the active transmission id, or 0 if it is not active.
 func (a *Air) TxSignalAt(id int, pos geom.Point) float64 {
-	at, ok := a.active[id]
+	at, ok := a.lookup(id)
 	if !ok {
 		return 0
 	}
-	return a.powerFrom(at.tx, pos)
+	t := a.table()
+	return t.powerFrom(at.em, t.id(pos))
+}
+
+// linkTable memoises channel.Params.LinkPower for one medium. Every
+// position the medium sees — watcher and listener positions, transmit
+// antennas, and the positions of ad-hoc queries — is interned once to a
+// small dense id, and each distinct transmit power to a slot, so a
+// lookup is three slice indexings instead of a hash of the link's five
+// floats. The key is the exact position: moved or new clients simply get
+// new ids and nothing needs invalidating. Only the propagation inputs
+// (Params and the shadow field) invalidate memoised powers; position ids
+// and power slots stay valid across that reset.
+type linkTable struct {
+	p         channel.Params
+	shadow    *channel.ShadowField
+	shadowVal channel.ShadowField // *shadow when the powers were computed
+
+	ids  map[geom.Point]int32
+	pos  []geom.Point
+	dbms []uint64 // transmit powers (float64 bits), by slot
+	// rows[slot][from][to] is the link power from position id from to
+	// position id to; NaN marks an entry not yet computed. Rows exist
+	// only for positions that have transmitted.
+	rows [][][]float64
+}
+
+// sync clears the memoised powers when p or the shadow field differ from
+// the inputs they were computed with.
+func (t *linkTable) sync(p channel.Params, f *channel.ShadowField) {
+	if t.p == p && t.shadow == f && (f == nil || *f == t.shadowVal) {
+		return
+	}
+	t.p, t.shadow = p, f
+	if f != nil {
+		t.shadowVal = *f
+	}
+	for i := range t.rows {
+		t.rows[i] = nil
+	}
+}
+
+// id interns a position.
+func (t *linkTable) id(p geom.Point) int32 {
+	if id, ok := t.ids[p]; ok {
+		return id
+	}
+	if t.ids == nil {
+		t.ids = map[geom.Point]int32{}
+	}
+	id := int32(len(t.pos))
+	t.ids[p] = id
+	t.pos = append(t.pos, p)
+	return id
+}
+
+// slot interns a transmit power.
+func (t *linkTable) slot(dbm float64) int {
+	bits := math.Float64bits(dbm)
+	for i, b := range t.dbms {
+		if b == bits {
+			return i
+		}
+	}
+	t.dbms = append(t.dbms, bits)
+	t.rows = append(t.rows, nil)
+	return len(t.dbms) - 1
+}
+
+// power returns the link power from position id from to position id to
+// at the slot's transmit power.
+func (t *linkTable) power(slot int, from, to int32) float64 {
+	if rows := t.rows[slot]; int(from) < len(rows) {
+		if row := rows[from]; int(to) < len(row) {
+			if v := row[to]; v == v {
+				return v
+			}
+		}
+	}
+	return t.fill(slot, from, to)
+}
+
+// fill computes, stores and returns one link power, growing the slot's
+// rows to cover every position interned so far.
+func (t *linkTable) fill(slot int, from, to int32) float64 {
+	rows := t.rows[slot]
+	for len(rows) <= int(from) {
+		rows = append(rows, nil)
+	}
+	row := rows[from]
+	for len(row) < len(t.pos) {
+		row = append(row, math.NaN())
+	}
+	v := t.p.LinkPower(t.shadow, t.pos[from], t.pos[to], math.Float64frombits(t.dbms[slot]))
+	row[to] = v
+	rows[from] = row
+	t.rows[slot] = rows
+	return v
+}
+
+// mwCache holds stats.Milliwatt of the last dBm value it was asked for.
+type mwCache struct {
+	dbm, mw float64
+	ok      bool
+}
+
+func (c *mwCache) get(dbm float64) float64 {
+	if !c.ok || c.dbm != dbm {
+		c.dbm, c.mw, c.ok = dbm, stats.Milliwatt(dbm), true
+	}
+	return c.mw
 }

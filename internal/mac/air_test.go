@@ -196,8 +196,10 @@ func TestMultiAntennaTxPower(t *testing.T) {
 		PowerDBm: 20,
 	}
 	pos := geom.Pt(1, 0)
-	best := a.powerFrom(tx, pos)
-	sum := a.sumPowerFrom(tx, pos)
+	em := a.emitterOf(tx)
+	to := a.links.id(pos)
+	best := a.links.powerFrom(em, to)
+	sum := a.links.sumPowerFrom(em, to)
 	if best >= sum {
 		t.Error("sum power should exceed best-antenna power")
 	}

@@ -17,6 +17,9 @@ type Backoff struct {
 	eng     *Engine
 	src     *rng.Source
 	granted func()
+	// tick is b.tickSlot bound once: a method value allocates each time
+	// it is taken, and a contender schedules one per idle slot.
+	tick func()
 
 	cw        int
 	slotsLeft int
@@ -27,13 +30,15 @@ type Backoff struct {
 
 // NewBackoff creates a contender. `granted` fires when backoff completes.
 func NewBackoff(eng *Engine, params EDCAParams, src *rng.Source, granted func()) *Backoff {
-	return &Backoff{
+	b := &Backoff{
 		Params:  params,
 		eng:     eng,
 		src:     src,
 		granted: granted,
 		cw:      params.CWMin,
 	}
+	b.tick = b.tickSlot
+	return b
 }
 
 // Start begins a contention cycle: draw a backoff counter and, if the
@@ -83,8 +88,8 @@ func (b *Backoff) resume() {
 	b.timer = b.eng.Schedule(b.Params.AIFS(), b.tick)
 }
 
-// tick consumes one idle backoff slot, granting at zero.
-func (b *Backoff) tick() {
+// tickSlot consumes one idle backoff slot, granting at zero.
+func (b *Backoff) tickSlot() {
 	if b.busy || !b.running {
 		return
 	}

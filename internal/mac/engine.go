@@ -5,16 +5,13 @@
 // backoff state machines (§3.2.2–3.2.3, §3.3 of the paper).
 package mac
 
-import (
-	"container/heap"
-	"time"
-)
+import "time"
 
 // Engine is a deterministic discrete-event simulator. Events scheduled at
 // the same instant fire in scheduling order.
 type Engine struct {
 	now time.Duration
-	pq  eventQueue
+	pq  []*Timer // binary min-heap on (at, seq)
 	seq uint64
 }
 
@@ -33,15 +30,17 @@ func (e *Engine) Schedule(delay time.Duration, fn func()) *Timer {
 	return e.At(e.now+delay, fn)
 }
 
-// At runs fn at absolute time t (clamped to now).
+// At runs fn at absolute time t (clamped to now). The returned Timer is
+// the queued event itself, so scheduling allocates one object.
 func (e *Engine) At(t time.Duration, fn func()) *Timer {
 	if t < e.now {
 		t = e.now
 	}
-	ev := &event{at: t, seq: e.seq, fn: fn}
+	ev := &Timer{at: t, seq: e.seq, fn: fn}
 	e.seq++
-	heap.Push(&e.pq, ev)
-	return &Timer{ev: ev}
+	e.pq = append(e.pq, ev)
+	e.up(len(e.pq) - 1)
+	return ev
 }
 
 // Run processes events until the queue is empty or the clock would pass
@@ -53,12 +52,14 @@ func (e *Engine) Run(until time.Duration) int {
 		if next.at > until {
 			break
 		}
-		heap.Pop(&e.pq)
+		e.pop()
 		if next.cancelled {
 			continue
 		}
 		e.now = next.at
-		next.fn()
+		fn := next.fn
+		next.fn = nil // a fired event keeps nothing reachable
+		fn()
 		n++
 	}
 	if e.now < until {
@@ -70,56 +71,68 @@ func (e *Engine) Run(until time.Duration) int {
 // Pending returns the number of queued (possibly cancelled) events.
 func (e *Engine) Pending() int { return len(e.pq) }
 
-// Timer is a handle to a scheduled event.
-type Timer struct{ ev *event }
-
-// Cancel prevents the event from firing. Safe to call multiple times and
-// after the event has fired.
-func (t *Timer) Cancel() {
-	if t != nil && t.ev != nil {
-		t.ev.cancelled = true
-	}
-}
-
-// Cancelled reports whether Cancel was called.
-func (t *Timer) Cancelled() bool { return t != nil && t.ev != nil && t.ev.cancelled }
-
-type event struct {
+// Timer is a scheduled event and the handle that cancels it. An event is
+// never reused, so a Timer kept past its event's firing cannot affect
+// any later event.
+type Timer struct {
 	at        time.Duration
 	seq       uint64
 	fn        func()
 	cancelled bool
-	index     int
 }
 
-type eventQueue []*event
-
-func (q eventQueue) Len() int { return len(q) }
-
-func (q eventQueue) Less(i, j int) bool {
-	if q[i].at != q[j].at {
-		return q[i].at < q[j].at
+// Cancel prevents the event from firing. Safe to call multiple times and
+// after the event has fired.
+func (t *Timer) Cancel() {
+	if t != nil {
+		t.cancelled = true
 	}
-	return q[i].seq < q[j].seq
 }
 
-func (q eventQueue) Swap(i, j int) {
-	q[i], q[j] = q[j], q[i]
-	q[i].index = i
-	q[j].index = j
+// Cancelled reports whether Cancel was called.
+func (t *Timer) Cancelled() bool { return t != nil && t.cancelled }
+
+// before orders events by time, then by scheduling order.
+func before(a, b *Timer) bool {
+	if a.at != b.at {
+		return a.at < b.at
+	}
+	return a.seq < b.seq
 }
 
-func (q *eventQueue) Push(x any) {
-	ev := x.(*event)
-	ev.index = len(*q)
-	*q = append(*q, ev)
+// up restores the heap after appending at index i.
+func (e *Engine) up(i int) {
+	q := e.pq
+	for i > 0 {
+		parent := (i - 1) / 2
+		if !before(q[i], q[parent]) {
+			break
+		}
+		q[i], q[parent] = q[parent], q[i]
+		i = parent
+	}
 }
 
-func (q *eventQueue) Pop() any {
-	old := *q
-	n := len(old)
-	ev := old[n-1]
-	old[n-1] = nil
-	*q = old[:n-1]
-	return ev
+// pop removes the earliest event.
+func (e *Engine) pop() {
+	q := e.pq
+	last := len(q) - 1
+	q[0] = q[last]
+	q[last] = nil
+	q = q[:last]
+	e.pq = q
+	for i := 0; ; {
+		least := i
+		if l := 2*i + 1; l < len(q) && before(q[l], q[least]) {
+			least = l
+		}
+		if r := 2*i + 2; r < len(q) && before(q[r], q[least]) {
+			least = r
+		}
+		if least == i {
+			return
+		}
+		q[i], q[least] = q[least], q[i]
+		i = least
+	}
 }

@@ -17,16 +17,23 @@ import (
 // Source is a deterministic random stream. It wraps math/rand with the
 // distributions the wireless models need.
 //
-// Concurrency: a Source's draw methods (Float64, Norm, Perm, …) mutate
-// the underlying stream and are NOT safe for concurrent use — each
-// goroutine must own the Sources it draws from. Split and SplitN,
-// however, read only the immutable seed recorded at construction, so
-// any number of goroutines may derive children from one shared parent
-// concurrently, and sibling children may be consumed from different
-// goroutines. This is the discipline the internal/runner worker pool
-// relies on: one root Source per experiment, one Split child per task.
+// The math/rand stream is built on the first draw, not at construction:
+// seeding one costs far more than deriving a child, and many Sources
+// exist only to be split further or to hand their seed on. Split, SplitN
+// and Seed never build it, and the stream a Source draws is the one
+// rand.NewSource(seed) gives, whenever it is built.
+//
+// Concurrency: a Source's draw methods (Float64, Norm, Perm, …) build
+// and then mutate the underlying stream and are NOT safe for concurrent
+// use — each goroutine must own the Sources it draws from. Split, SplitN
+// and Seed, however, read only the immutable seed recorded at
+// construction and never touch the stream, so any number of goroutines
+// may derive children from one shared parent concurrently, and sibling
+// children may be consumed from different goroutines. This is the
+// discipline the internal/runner worker pool relies on: one root Source
+// per experiment, one Split child per task.
 type Source struct {
-	r *rand.Rand
+	r *rand.Rand // nil until the first draw; see stream
 	// seed is immutable after New; Split derives children from it
 	// without touching r, which is what makes concurrent splitting safe.
 	seed int64
@@ -34,11 +41,25 @@ type Source struct {
 
 // New returns a Source seeded with seed.
 func New(seed int64) *Source {
-	return &Source{r: rand.New(rand.NewSource(seed)), seed: seed}
+	return &Source{seed: seed}
+}
+
+// stream returns the math/rand stream, seeding it on first use.
+func (s *Source) stream() *rand.Rand {
+	if s.r == nil {
+		s.r = rand.New(rand.NewSource(s.seed))
+	}
+	return s.r
 }
 
 // Seed returns the seed this source was created with.
 func (s *Source) Seed() int64 { return s.seed }
+
+// FNV-1a parameters of the child-seed hash.
+const (
+	offset64 = 14695981039346656037
+	prime64  = 1099511628211
+)
 
 // Split derives an independent child stream from this source's seed and a
 // label. The same (seed, label) pair always yields the same child, while
@@ -48,21 +69,37 @@ func (s *Source) Seed() int64 { return s.seed }
 // parent (it only reads the immutable seed); the returned child is an
 // ordinary unsynchronized Source owned by the caller.
 func (s *Source) Split(label string) *Source {
-	const (
-		offset64 = 14695981039346656037
-		prime64  = 1099511628211
-	)
-	h := uint64(offset64)
-	mix := func(b byte) {
-		h ^= uint64(b)
-		h *= prime64
+	return New(s.child(hashString(offset64, label)))
+}
+
+// SplitN derives the i-th child of a labelled family, e.g. one stream per
+// topology index. It is Split(label + "#" + decimal i), hashed without
+// building that string.
+func (s *Source) SplitN(label string, i int) *Source {
+	var buf [20]byte
+	h := hashString(offset64, label)
+	h = hashByte(h, '#')
+	for _, b := range appendInt(buf[:0], i) {
+		h = hashByte(h, b)
 	}
+	return New(s.child(h))
+}
+
+func hashByte(h uint64, b byte) uint64 { return (h ^ uint64(b)) * prime64 }
+
+func hashString(h uint64, label string) uint64 {
 	for i := 0; i < len(label); i++ {
-		mix(label[i])
+		h = hashByte(h, label[i])
 	}
+	return h
+}
+
+// child finishes a label hash with the parent's seed and returns the
+// child's seed.
+func (s *Source) child(h uint64) int64 {
 	u := uint64(s.seed)
 	for i := 0; i < 8; i++ {
-		mix(byte(u >> (8 * i)))
+		h = hashByte(h, byte(u>>(8*i)))
 	}
 	// Final avalanche (splitmix64 finalizer) so nearby seeds diverge.
 	h ^= h >> 30
@@ -70,18 +107,15 @@ func (s *Source) Split(label string) *Source {
 	h ^= h >> 27
 	h *= 0x94d049bb133111eb
 	h ^= h >> 31
-	return New(int64(h))
+	return int64(h)
 }
 
-// SplitN derives the i-th child of a labelled family, e.g. one stream per
-// topology index.
-func (s *Source) SplitN(label string, i int) *Source {
-	return s.Split(label + "#" + itoa(i))
-}
-
-func itoa(i int) string {
+// appendInt appends the decimal form of i to dst. math.MinInt, which
+// has no positive counterpart, renders as "-"; SplitN's child seeds
+// depend on this exact rendering.
+func appendInt(dst []byte, i int) []byte {
 	if i == 0 {
-		return "0"
+		return append(dst, '0')
 	}
 	neg := i < 0
 	if neg {
@@ -98,29 +132,29 @@ func itoa(i int) string {
 		p--
 		buf[p] = '-'
 	}
-	return string(buf[p:])
+	return append(dst, buf[p:]...)
 }
 
 // Int63 returns a non-negative 63-bit integer.
-func (s *Source) Int63() int64 { return s.r.Int63() }
+func (s *Source) Int63() int64 { return s.stream().Int63() }
 
 // Intn returns an integer in [0, n).
-func (s *Source) Intn(n int) int { return s.r.Intn(n) }
+func (s *Source) Intn(n int) int { return s.stream().Intn(n) }
 
 // Float64 returns a uniform value in [0, 1).
-func (s *Source) Float64() float64 { return s.r.Float64() }
+func (s *Source) Float64() float64 { return s.stream().Float64() }
 
 // Uniform returns a uniform value in [lo, hi).
 func (s *Source) Uniform(lo, hi float64) float64 {
-	return lo + (hi-lo)*s.r.Float64()
+	return lo + (hi-lo)*s.stream().Float64()
 }
 
 // Norm returns a standard normal draw.
-func (s *Source) Norm() float64 { return s.r.NormFloat64() }
+func (s *Source) Norm() float64 { return s.stream().NormFloat64() }
 
 // Gauss returns a normal draw with the given mean and standard deviation.
 func (s *Source) Gauss(mean, std float64) float64 {
-	return mean + std*s.r.NormFloat64()
+	return mean + std*s.stream().NormFloat64()
 }
 
 // LogNormalDB returns a linear-scale multiplicative factor whose dB value
@@ -151,14 +185,14 @@ func (s *Source) Rayleigh(sigma float64) float64 {
 
 // Exp returns an exponential draw with the given mean.
 func (s *Source) Exp(mean float64) float64 {
-	return s.r.ExpFloat64() * mean
+	return s.stream().ExpFloat64() * mean
 }
 
 // Perm returns a pseudo-random permutation of [0, n).
-func (s *Source) Perm(n int) []int { return s.r.Perm(n) }
+func (s *Source) Perm(n int) []int { return s.stream().Perm(n) }
 
 // Shuffle pseudo-randomizes the order of n elements using swap.
-func (s *Source) Shuffle(n int, swap func(i, j int)) { s.r.Shuffle(n, swap) }
+func (s *Source) Shuffle(n int, swap func(i, j int)) { s.stream().Shuffle(n, swap) }
 
 // PointInDisc returns a uniform point in the disc of the given radius
 // centred at the origin.

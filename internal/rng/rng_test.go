@@ -3,6 +3,8 @@ package rng
 import (
 	"math"
 	"math/cmplx"
+	"math/rand"
+	"strconv"
 	"sync"
 	"testing"
 	"testing/quick"
@@ -71,8 +73,8 @@ func TestSplitN(t *testing.T) {
 func TestItoa(t *testing.T) {
 	cases := map[int]string{0: "0", 5: "5", 42: "42", -17: "-17", 1000: "1000"}
 	for in, want := range cases {
-		if got := itoa(in); got != want {
-			t.Errorf("itoa(%d) = %q, want %q", in, got, want)
+		if got := string(appendInt(nil, in)); got != want {
+			t.Errorf("appendInt(%d) = %q, want %q", in, got, want)
 		}
 	}
 }
@@ -309,5 +311,68 @@ func TestConcurrentSplitDoesNotPerturbParent(t *testing.T) {
 		if parent.Float64() != ref.Float64() {
 			t.Fatal("concurrent Split perturbed the parent stream")
 		}
+	}
+}
+
+// TestLazySeedingDrawsEagerStreams: a Source seeds its math/rand stream
+// on first draw, so every child of a Split/SplitN chain must draw
+// exactly what an eagerly seeded stream on the same seed draws.
+func TestLazySeedingDrawsEagerStreams(t *testing.T) {
+	f := func(seed int64, a, b string, i int) bool {
+		child := New(seed).Split(a).SplitN(b, i).Split("leaf")
+		eager := rand.New(rand.NewSource(child.Seed()))
+		for k := 0; k < 20; k++ {
+			if child.Float64() != eager.Float64() || child.Norm() != eager.NormFloat64() {
+				return false
+			}
+		}
+		return child.Intn(1000) == eager.Intn(1000)
+	}
+	if err := quick.Check(f, nil); err != nil {
+		t.Error(err)
+	}
+}
+
+// TestSplitNSeedDerivation: SplitN hashes label, '#' and the decimal
+// index without building the string, and must give Split's child on
+// that string.
+func TestSplitNSeedDerivation(t *testing.T) {
+	f := func(seed int64, label string, i int) bool {
+		p := New(seed)
+		return p.SplitN(label, i).Seed() == p.Split(label+"#"+string(appendInt(nil, i))).Seed()
+	}
+	if err := quick.Check(f, nil); err != nil {
+		t.Error(err)
+	}
+	for _, i := range []int{0, 7, -3, 1 << 40, math.MaxInt64} {
+		if New(5).SplitN("x", i).Seed() != New(5).Split("x#"+strconv.Itoa(i)).Seed() {
+			t.Errorf("SplitN(%d) disagrees with Split on the decimal label", i)
+		}
+	}
+}
+
+// TestSplitSeedBuildsNoStream is the lazy-seeding allocation guard (run
+// by `make alloc-guard`): deriving a seed through a Split chain builds
+// no math/rand stream. An eagerly seeded Source costs three allocations
+// (the ~5 KB rngSource, its rand.Rand and the Source); a lazy one at
+// most the Source.
+func TestSplitSeedBuildsNoStream(t *testing.T) {
+	src := New(2014)
+	var sink int64
+	allocs := testing.AllocsPerRun(200, func() {
+		sink += src.Split("model").Split("shadow").Seed()
+		sink += src.SplitN("overhear", 3).Split("model").Seed()
+	})
+	if allocs > 4 {
+		t.Errorf("four Splits and two Seeds allocate %v/op, want <= 4 (no stream construction)", allocs)
+	}
+	c := src.Split("model").SplitN("topo", 1)
+	_ = c.Seed()
+	if c.r != nil {
+		t.Error("Split/Seed built the child's math/rand stream")
+	}
+	c.Float64()
+	if c.r == nil {
+		t.Error("a draw did not build the stream")
 	}
 }

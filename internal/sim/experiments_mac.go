@@ -18,7 +18,7 @@ import (
 // senses reports whether a receiver at rx detects a transmitter at tx
 // (single antenna, full power) through the obstruction field.
 func senses(p channel.Params, f *channel.ShadowField, tx, rx geom.Point, thresholdDBm float64) bool {
-	pw := p.PowerAtPoint(tx, rx, p.TxPowerDBm) * f.Shadow(tx, rx)
+	pw := p.LinkPower(f, tx, rx, p.TxPowerDBm)
 	return pw >= stats.Milliwatt(thresholdDBm)
 }
 
@@ -186,7 +186,7 @@ func Fig13DeadzonesOpts(deployments int, seed int64, env EnvOverrides, parallel 
 func deadAt(p channel.Params, f *channel.ShadowField, dep *topology.Deployment, pt geom.Point) bool {
 	noise := p.NoiseLinear()
 	for _, a := range dep.Antennas {
-		pw := p.PowerAtPoint(a.Pos, pt, p.TxPowerDBm) * f.Shadow(a.Pos, pt)
+		pw := p.LinkPower(f, a.Pos, pt, p.TxPowerDBm)
 		if stats.DB(pw/noise) >= minServiceSNRdB {
 			return false
 		}
@@ -265,7 +265,7 @@ func hiddenAt(p channel.Params, f *channel.ShadowField, dep *topology.Deployment
 	best := [2]int{-1, -1}
 	bestP := [2]float64{math.Inf(-1), math.Inf(-1)}
 	for i, a := range dep.Antennas {
-		pw := stats.DBm(p.PowerAtPoint(a.Pos, pt, p.TxPowerDBm) * f.Shadow(a.Pos, pt))
+		pw := stats.DBm(p.LinkPower(f, a.Pos, pt, p.TxPowerDBm))
 		if pw > bestP[a.AP] {
 			bestP[a.AP] = pw
 			best[a.AP] = i

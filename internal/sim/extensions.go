@@ -104,7 +104,7 @@ func silencedFraction(p channel.Params, f *channel.ShadowField, antennas []geom.
 		total++
 		sum := 0.0
 		for _, a := range antennas {
-			sum += p.PowerAtPoint(a, pt, p.TxPowerDBm) * f.Shadow(a, pt)
+			sum += p.LinkPower(f, a, pt, p.TxPowerDBm)
 		}
 		if sum >= threshold {
 			busy++

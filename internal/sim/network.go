@@ -131,7 +131,7 @@ func OverhearingSource(dep *topology.Deployment, p channel.Params, src *rng.Sour
 func allPairsOverhear(dep *topology.Deployment, p channel.Params, f *channel.ShadowField) bool {
 	for i := 0; i < len(dep.APs); i++ {
 		for j := i + 1; j < len(dep.APs); j++ {
-			pw := p.PowerAtPoint(dep.APs[i], dep.APs[j], p.TxPowerDBm) * f.Shadow(dep.APs[i], dep.APs[j])
+			pw := p.LinkPower(f, dep.APs[i], dep.APs[j], p.TxPowerDBm)
 			if stats.DBm(pw) < mac.DefaultCSThresholdDBm {
 				return false
 			}
@@ -157,7 +157,7 @@ func EnsureAssociated(dep *topology.Deployment, p channel.Params, modelSrc *rng.
 	reachable := func(ap int, pos geom.Point) bool {
 		for _, k := range dep.AntennasOf(ap) {
 			a := dep.Antennas[k].Pos
-			pw := p.PowerAtPoint(a, pos, p.TxPowerDBm) * f.Shadow(a, pos)
+			pw := p.LinkPower(f, a, pos, p.TxPowerDBm)
 			if stats.DB(pw/noise) >= MinAssocSNRdB {
 				return true
 			}

@@ -34,7 +34,7 @@ func (o *PlacementObjective) Score(antennas []geom.Point) float64 {
 	for _, s := range o.Spots {
 		best := math.Inf(-1)
 		for _, a := range antennas {
-			pw := o.Params.PowerAtPoint(a, s, o.Params.TxPowerDBm) * o.Field.Shadow(a, s)
+			pw := o.Params.LinkPower(o.Field, a, s, o.Params.TxPowerDBm)
 			if snr := stats.DB(pw / noise); snr > best {
 				best = snr
 			}
