@@ -128,11 +128,12 @@ bench:
 # The allocation guards for the precoding hot path and the DES core, run
 # explicitly so a CI log shows them even though `make test` also covers
 # them: zero-alloc solver and workspace kernels; zero-alloc carrier-sense
-# and power queries on a warm mac.Air link table; at most one allocation
-# per Engine.Schedule + Run event; and no math/rand stream built by a
-# Split chain that only reads its seed.
+# and power queries on a warm mac.Air link table; zero allocations per
+# steady-state Engine event (one-shot or Timer) and per backoff slot; no
+# math/rand stream built by a Split chain that only reads its seed; and
+# at most 40 allocations per TXOP over a whole Figure 15 network run.
 alloc-guard:
-	$(GO) test -run 'TestSolverZeroAlloc|TestWorkspaceZeroAlloc|TestAirQueriesZeroAlloc|TestEngineScheduleAllocs|TestSplitSeedBuildsNoStream' -v ./internal/precoding ./internal/matrix ./internal/mac ./internal/rng
+	$(GO) test -run 'TestSolverZeroAlloc|TestWorkspaceZeroAlloc|TestAirQueriesZeroAlloc|TestEngineScheduleAllocs|TestBackoffCountdownZeroAlloc|TestSplitSeedBuildsNoStream|TestNetworkRunAllocsPerTXOP' -v ./internal/precoding ./internal/matrix ./internal/mac ./internal/rng ./internal/sim
 
 # Re-measure the kernel micro-benchmarks (before/after pairs against the
 # frozen pre-workspace implementations in internal/bench) plus reduced-

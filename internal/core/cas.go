@@ -1,6 +1,7 @@
 package core
 
 import (
+	"slices"
 	"time"
 
 	"repro/internal/mac"
@@ -17,6 +18,10 @@ type CASController struct {
 	Scheduler Scheduler
 	nav       mac.NAV
 	maxStream int
+
+	// Selection scratch, reused by every TXOP.
+	antennas, picked, eligible []int
+	popped                     []Packet
 }
 
 // NewCASController builds the baseline controller.
@@ -54,45 +59,41 @@ func (c *CASController) NAVBusy(now time.Duration) bool { return c.nav.Busy(now)
 func (c *CASController) NAVExpiry() time.Duration { return c.nav.Expiry() }
 
 // SelectAntennas engages all antennas unconditionally — the CAS MAC
-// treats the array as one unit.
+// treats the array as one unit. The returned slice is controller-owned
+// and valid until the next call.
 func (c *CASController) SelectAntennas() []int {
-	return append([]int(nil), c.Antennas...)
+	c.antennas = append(c.antennas[:0], c.Antennas...)
+	return c.antennas
 }
 
 // SelectClients picks up to maxStreams distinct backlogged clients using
 // the scheduler, with no antenna affinity.
 func (c *CASController) SelectClients() []int {
-	chosen := map[int]bool{}
 	var clients []int
 	for len(clients) < c.maxStream {
-		var eligible []int
-		for _, cl := range c.Queue.Backlogged() {
-			if !chosen[cl] {
+		eligible := c.eligible[:0]
+		for _, cl := range c.Queue.backlog {
+			if !slices.Contains(clients, cl) {
 				eligible = append(eligible, cl)
 			}
 		}
+		c.eligible = eligible
 		if len(eligible) == 0 {
 			break
 		}
-		pick := c.Scheduler.Pick(eligible)
-		chosen[pick] = true
-		clients = append(clients, pick)
+		clients = append(clients, c.Scheduler.Pick(eligible))
 	}
 	return clients
 }
 
-// Dequeue removes the head packets for the served clients.
+// Dequeue removes the head packets for the served clients. The returned
+// slice is controller-owned and valid until the next call.
 func (c *CASController) Dequeue(clients []int) []Packet {
-	pkts := make([]Packet, 0, len(clients))
-	for _, cl := range clients {
-		if p, ok := c.Queue.Pop(cl); ok {
-			pkts = append(pkts, p)
-		}
-	}
-	return pkts
+	c.popped = c.Queue.popHeads(c.popped[:0], clients)
+	return c.popped
 }
 
 // FinishTXOP applies fairness accounting.
 func (c *CASController) FinishTXOP(served []int, txop time.Duration) {
-	c.Scheduler.Charge(served, c.Queue.Backlogged(), txop)
+	c.Scheduler.Charge(served, c.Queue.backlog, txop)
 }

@@ -2,6 +2,7 @@ package core
 
 import (
 	"math"
+	"slices"
 	"time"
 )
 
@@ -13,7 +14,8 @@ import (
 // distributing the consumed airtime over the clients that were passed
 // over, steering future selections toward fairness.
 type DRR struct {
-	deficit map[int]float64 // in seconds of owed service
+	deficit  map[int]float64 // in seconds of owed service
+	unserved []int           // Charge's scratch
 }
 
 // NewDRR returns an empty deficit table.
@@ -44,17 +46,16 @@ func (d *DRR) Select(eligible []int) (client int, ok bool) {
 // total service n·txop equally.
 func (d *DRR) Charge(served, backlogged []int, txop time.Duration) {
 	t := txop.Seconds()
-	isServed := map[int]bool{}
 	for _, c := range served {
-		isServed[c] = true
 		d.deficit[c] -= t
 	}
-	var unserved []int
+	unserved := d.unserved[:0]
 	for _, c := range backlogged {
-		if !isServed[c] {
+		if !slices.Contains(served, c) {
 			unserved = append(unserved, c)
 		}
 	}
+	d.unserved = unserved
 	if len(unserved) == 0 {
 		return
 	}
@@ -69,6 +70,9 @@ func (d *DRR) Reset() { d.deficit = map[int]float64{} }
 
 // Scheduler selects one client for an antenna from an eligible set.
 // MIDAS uses DRR; the ablations swap in round-robin and random policies.
+//
+// The slices passed to Pick and Charge are the caller's scratch, in
+// ascending client order: a Scheduler must neither modify nor keep them.
 type Scheduler interface {
 	// Pick chooses a client from eligible (never empty); the MU-MIMO
 	// driver guarantees the same client is not offered twice in one TXOP.

@@ -1,6 +1,8 @@
 package core
 
 import (
+	"slices"
+
 	"repro/internal/mac"
 )
 
@@ -11,116 +13,94 @@ import (
 // runs within each class in priority order.
 
 // acOrder lists access categories from highest to lowest priority.
-var acOrder = []mac.AccessCategory{
+var acOrder = [...]mac.AccessCategory{
 	mac.ACVoice, mac.ACVideo, mac.ACBestEffort, mac.ACBackground,
 }
 
-// BackloggedByAC partitions the queue's backlogged clients by the access
-// category of their head-of-line packet.
-func (q *Queue) BackloggedByAC() map[mac.AccessCategory][]int {
-	out := map[mac.AccessCategory][]int{}
-	for _, c := range q.Backlogged() {
-		p, _ := q.Head(c)
-		ac := mac.ACOfTID(p.TID)
-		out[ac] = append(out[ac], c)
-	}
-	return out
-}
+// headAC returns the access category of backlogged client c's
+// head-of-line packet.
+func (q *Queue) headAC(c int) mac.AccessCategory { return mac.ACOfTID(q.fifos[c][0].TID) }
 
 // PrimaryAC returns the highest-priority access category with backlog —
 // the class that would win the AP's internal EDCA contention, hence the
 // primary access class of the next TXOP. ok is false when the queue is
 // empty.
 func (q *Queue) PrimaryAC() (mac.AccessCategory, bool) {
-	byAC := q.BackloggedByAC()
 	for _, ac := range acOrder {
-		if len(byAC[ac]) > 0 {
-			return ac, true
+		for _, c := range q.backlog {
+			if q.headAC(c) == ac {
+				return ac, true
+			}
 		}
 	}
 	return mac.ACBestEffort, false
 }
 
-// eligibleForWithAC returns the backlogged clients whose head packet tags
-// the antenna AND belongs to the access category.
-func (q *Queue) eligibleForWithAC(antenna int, ac mac.AccessCategory) []int {
-	var out []int
-	for _, c := range q.EligibleFor(antenna) {
-		p, _ := q.Head(c)
-		if mac.ACOfTID(p.TID) == ac {
-			out = append(out, c)
+// classOrder lists the access categories a TXOP with the given primary
+// class draws from: the primary first, then the rest by priority.
+func classOrder(primary mac.AccessCategory) [len(acOrder)]mac.AccessCategory {
+	classes := [len(acOrder)]mac.AccessCategory{primary}
+	n := 1
+	for _, ac := range acOrder {
+		if ac != primary {
+			classes[n] = ac
+			n++
 		}
 	}
-	return out
+	return classes
 }
 
 // SelectClientsEDCA is SelectClients with §3.3's class structure: for
 // each available antenna the scheduler first considers the primary
 // class's tagged clients, then falls back through secondary classes in
 // priority order. Antenna order and distinctness rules are unchanged.
+// The returned slice is controller-owned and valid until the next
+// selection.
 func (c *Controller) SelectClientsEDCA(antennas []int, primary mac.AccessCategory) []int {
-	chosen := map[int]bool{}
-	var clients []int
-	classes := make([]mac.AccessCategory, 0, len(acOrder))
-	classes = append(classes, primary)
-	for _, ac := range acOrder {
-		if ac != primary {
-			classes = append(classes, ac)
-		}
-	}
+	q := c.Queue
+	clients := c.picked[:0]
 	for _, a := range antennas {
-		picked := false
-		for _, ac := range classes {
-			eligible := c.Queue.eligibleForWithAC(a, ac)
-			filtered := eligible[:0:0]
-			for _, cl := range eligible {
-				if !chosen[cl] {
-					filtered = append(filtered, cl)
+		for _, ac := range classOrder(primary) {
+			eligible := c.eligible[:0]
+			for _, cl := range q.backlog {
+				if q.headAC(cl) == ac && q.tagged(cl, a) && !slices.Contains(clients, cl) {
+					eligible = append(eligible, cl)
 				}
 			}
-			if len(filtered) == 0 {
+			c.eligible = eligible
+			if len(eligible) == 0 {
 				continue
 			}
-			pick := c.Cfg.Scheduler.Pick(filtered)
-			chosen[pick] = true
-			clients = append(clients, pick)
-			picked = true
+			clients = append(clients, c.Cfg.Scheduler.Pick(eligible))
 			break
 		}
-		_ = picked
 	}
+	c.picked = clients
 	return clients
 }
 
 // SelectClientsEDCA is the CAS baseline's class-aware selection: fill the
 // group from the primary class's backlog, then secondary classes, with no
-// antenna affinity (the 802.11ac behaviour §3.3 describes).
+// antenna affinity (the 802.11ac behaviour §3.3 describes). The returned
+// slice is controller-owned and valid until the next selection.
 func (c *CASController) SelectClientsEDCA(primary mac.AccessCategory) []int {
-	classes := make([]mac.AccessCategory, 0, len(acOrder))
-	classes = append(classes, primary)
-	for _, ac := range acOrder {
-		if ac != primary {
-			classes = append(classes, ac)
-		}
-	}
-	chosen := map[int]bool{}
-	var clients []int
-	byAC := c.Queue.BackloggedByAC()
-	for _, ac := range classes {
+	q := c.Queue
+	clients := c.picked[:0]
+	for _, ac := range classOrder(primary) {
 		for len(clients) < c.maxStream {
-			var eligible []int
-			for _, cl := range byAC[ac] {
-				if !chosen[cl] {
+			eligible := c.eligible[:0]
+			for _, cl := range q.backlog {
+				if q.headAC(cl) == ac && !slices.Contains(clients, cl) {
 					eligible = append(eligible, cl)
 				}
 			}
+			c.eligible = eligible
 			if len(eligible) == 0 {
 				break
 			}
-			pick := c.Scheduler.Pick(eligible)
-			chosen[pick] = true
-			clients = append(clients, pick)
+			clients = append(clients, c.Scheduler.Pick(eligible))
 		}
 	}
+	c.picked = clients
 	return clients
 }

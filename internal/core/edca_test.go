@@ -7,27 +7,6 @@ import (
 	"repro/internal/mac"
 )
 
-func TestBackloggedByAC(t *testing.T) {
-	q := NewQueue()
-	q.Push(Packet{Client: 0, TID: 6}) // voice
-	q.Push(Packet{Client: 1, TID: 5}) // video
-	q.Push(Packet{Client: 2, TID: 0}) // best effort
-	q.Push(Packet{Client: 3, TID: 1}) // background
-	byAC := q.BackloggedByAC()
-	if !reflect.DeepEqual(byAC[mac.ACVoice], []int{0}) {
-		t.Errorf("voice = %v", byAC[mac.ACVoice])
-	}
-	if !reflect.DeepEqual(byAC[mac.ACVideo], []int{1}) {
-		t.Errorf("video = %v", byAC[mac.ACVideo])
-	}
-	if !reflect.DeepEqual(byAC[mac.ACBestEffort], []int{2}) {
-		t.Errorf("BE = %v", byAC[mac.ACBestEffort])
-	}
-	if !reflect.DeepEqual(byAC[mac.ACBackground], []int{3}) {
-		t.Errorf("BK = %v", byAC[mac.ACBackground])
-	}
-}
-
 func TestPrimaryACPriorityOrder(t *testing.T) {
 	q := NewQueue()
 	if _, ok := q.PrimaryAC(); ok {

@@ -1,7 +1,7 @@
 package core
 
 import (
-	"sort"
+	"slices"
 	"time"
 
 	"repro/internal/mac"
@@ -20,22 +20,35 @@ type RSSIProvider interface {
 // the paper's default; 1 risks under-utilisation, all-antennas degrades
 // to CAS behaviour (§3.2.4).
 func TagAntennas(rssi RSSIProvider, client int, antennas []int, tagWidth int) []int {
-	if tagWidth <= 0 || len(antennas) == 0 {
-		return nil
-	}
-	ranked := append([]int(nil), antennas...)
-	sort.SliceStable(ranked, func(a, b int) bool {
-		pa := rssi.MeanRxPower(client, ranked[a])
-		pb := rssi.MeanRxPower(client, ranked[b])
-		if pa != pb {
-			return pa > pb
+	return appendTags(nil, rssi, client, antennas, tagWidth)
+}
+
+// appendTags appends TagAntennas' result to dst. It keeps the best
+// tagWidth antennas seen so far in rank order and inserts each candidate
+// into place; the ranking (mean RSSI, ties by lower index) is a total
+// order, so this is the head of the fully sorted candidate list.
+func appendTags(dst []int, rssi RSSIProvider, client int, antennas []int, tagWidth int) []int {
+	n := len(dst)
+	for _, a := range antennas {
+		pa := rssi.MeanRxPower(client, a)
+		i := len(dst)
+		for i > n {
+			b := dst[i-1]
+			if pb := rssi.MeanRxPower(client, b); pa < pb || (pa == pb && a > b) {
+				break
+			}
+			i--
 		}
-		return ranked[a] < ranked[b]
-	})
-	if tagWidth > len(ranked) {
-		tagWidth = len(ranked)
+		if i-n >= tagWidth {
+			continue
+		}
+		if len(dst)-n < tagWidth {
+			dst = append(dst, 0)
+		}
+		copy(dst[i+1:], dst[i:len(dst)-1])
+		dst[i] = a
 	}
-	return ranked[:tagWidth]
+	return dst
 }
 
 // Config parameterises a MIDAS controller.
@@ -77,6 +90,13 @@ type Controller struct {
 
 	// local maps a global antenna index to its position in Cfg.Antennas.
 	local map[int]int
+
+	// Selection scratch, reused by every TXOP: the returned antenna
+	// and client slices stay valid until the next selection.
+	idle, soon, set, antennas []int
+	picked, eligible          []int
+	popped                    []Packet
+	tagSlab                   []int // see tagSlabLen
 }
 
 // NewController builds a controller with one NAV per antenna.
@@ -108,9 +128,22 @@ func (c *Controller) LocalIndex(antenna int) (int, bool) {
 
 // Enqueue tags the packet with the client's best antennas and queues it.
 func (c *Controller) Enqueue(p Packet, rssi RSSIProvider) {
-	p.Tags = TagAntennas(rssi, p.Client, c.Cfg.Antennas, c.Cfg.TagWidth)
+	w := c.Cfg.TagWidth
+	if cap(c.tagSlab)-len(c.tagSlab) < w {
+		c.tagSlab = make([]int, 0, max(tagSlabLen, w))
+	}
+	n := len(c.tagSlab)
+	c.tagSlab = appendTags(c.tagSlab, rssi, p.Client, c.Cfg.Antennas, w)
+	if m := len(c.tagSlab); m > n {
+		p.Tags = c.tagSlab[n:m:m]
+	}
 	c.Queue.Push(p)
 }
+
+// tagSlabLen is the size of the blocks packet tags are carved from: a
+// packet's tags never change, so packets can share a block, and tagging
+// allocates once per block instead of once per packet.
+const tagSlabLen = 256
 
 // UpdateNAV records an overheard reservation on one antenna (the antenna
 // that physically decoded the frame). until is absolute simulation time.
@@ -141,6 +174,7 @@ type Selection struct {
 // when non-nil, reports an antenna's physical carrier-sense state by local
 // index; physically busy antennas are never engaged (their occupant's end
 // time is unknown, so they do not qualify for the wait window either).
+// The returned slice is controller-owned and valid until the next call.
 func (c *Controller) SelectAntennas(winner int, now time.Duration, physBusy func(local int) bool) (antennas []int, waitUntil time.Duration) {
 	waitUntil = now
 	wl, ok := c.local[winner]
@@ -148,29 +182,32 @@ func (c *Controller) SelectAntennas(winner int, now time.Duration, physBusy func
 		return nil, now
 	}
 	busy := func(k int) bool { return physBusy != nil && physBusy(k) && k != wl }
-	idle := c.Navs.Idle(now)
-	soon := c.Navs.ExpiringWithin(now, c.Cfg.WaitWindow)
-	set := make([]int, 0, len(idle)+len(soon))
-	seen := map[int]bool{wl: true}
-	set = append(set, wl)
-	for _, k := range append(idle, soon...) {
-		if !seen[k] && !busy(k) {
-			seen[k] = true
+	c.idle = c.Navs.Idle(c.idle[:0], now)
+	c.soon = c.Navs.ExpiringWithin(c.soon[:0], now, c.Cfg.WaitWindow)
+	// idle and soon are disjoint and ascending, so only the winner can
+	// appear twice.
+	set := append(c.set[:0], wl)
+	for _, k := range c.idle {
+		if k != wl && !busy(k) {
 			set = append(set, k)
 		}
 	}
-	for _, k := range soon {
+	for _, k := range c.soon {
 		if busy(k) {
 			continue
+		}
+		if k != wl {
+			set = append(set, k)
 		}
 		if exp := c.Navs.Expiry(k); exp > waitUntil {
 			waitUntil = exp
 		}
 	}
-	ordered := c.Navs.ByExpiry(set)
-	antennas = make([]int, 0, len(ordered))
-	for _, k := range ordered {
-		antennas = append(antennas, c.Cfg.Antennas[k])
+	c.set = set
+	antennas = c.Navs.ByExpiry(c.antennas[:0], set)
+	c.antennas = antennas
+	for i, k := range antennas {
+		antennas[i] = c.Cfg.Antennas[k]
 	}
 	if len(antennas) > c.Cfg.MaxStreams {
 		antennas = antennas[:c.Cfg.MaxStreams]
@@ -186,39 +223,33 @@ func (c *Controller) SelectAntennas(winner int, now time.Duration, physBusy func
 // that found no eligible client contribute nothing (but still transmit as
 // part of the precoded group).
 func (c *Controller) SelectClients(antennas []int) []int {
-	chosen := map[int]bool{}
+	q := c.Queue
 	var clients []int
 	for _, a := range antennas {
-		eligible := c.Queue.EligibleFor(a)
-		filtered := eligible[:0:0]
-		for _, cl := range eligible {
-			if !chosen[cl] {
-				filtered = append(filtered, cl)
+		eligible := c.eligible[:0]
+		for _, cl := range q.backlog {
+			if q.tagged(cl, a) && !slices.Contains(clients, cl) {
+				eligible = append(eligible, cl)
 			}
 		}
-		if len(filtered) == 0 {
+		c.eligible = eligible
+		if len(eligible) == 0 {
 			continue
 		}
-		pick := c.Cfg.Scheduler.Pick(filtered)
-		chosen[pick] = true
-		clients = append(clients, pick)
+		clients = append(clients, c.Cfg.Scheduler.Pick(eligible))
 	}
 	return clients
 }
 
 // Dequeue removes the head packets for the served clients, returning them
-// in client order given.
+// in client order given. The returned slice is controller-owned and valid
+// until the next call.
 func (c *Controller) Dequeue(clients []int) []Packet {
-	pkts := make([]Packet, 0, len(clients))
-	for _, cl := range clients {
-		if p, ok := c.Queue.Pop(cl); ok {
-			pkts = append(pkts, p)
-		}
-	}
-	return pkts
+	c.popped = c.Queue.popHeads(c.popped[:0], clients)
+	return c.popped
 }
 
 // FinishTXOP applies the fairness updates after serving `served` for txop.
 func (c *Controller) FinishTXOP(served []int, txop time.Duration) {
-	c.Cfg.Scheduler.Charge(served, c.Queue.Backlogged(), txop)
+	c.Cfg.Scheduler.Charge(served, c.Queue.backlog, txop)
 }

@@ -15,6 +15,7 @@
 package core
 
 import (
+	"slices"
 	"time"
 )
 
@@ -34,8 +35,11 @@ type Packet struct {
 // selection needs.
 type Queue struct {
 	fifos map[int][]Packet
-	size  int
-	seq   uint16
+	// backlog is the set of clients with a non-empty FIFO, ascending;
+	// Push and Pop keep it current.
+	backlog []int
+	size    int
+	seq     uint16
 }
 
 // NewQueue returns an empty queue.
@@ -45,7 +49,12 @@ func NewQueue() *Queue { return &Queue{fifos: map[int][]Packet{}} }
 func (q *Queue) Push(p Packet) {
 	p.Seq = q.seq
 	q.seq = (q.seq + 1) & 0x0fff
-	q.fifos[p.Client] = append(q.fifos[p.Client], p)
+	f := q.fifos[p.Client]
+	if len(f) == 0 {
+		i, _ := slices.BinarySearch(q.backlog, p.Client)
+		q.backlog = slices.Insert(q.backlog, i, p.Client)
+	}
+	q.fifos[p.Client] = append(f, p)
 	q.size++
 }
 
@@ -64,53 +73,56 @@ func (q *Queue) Head(client int) (Packet, bool) {
 	return f[0], true
 }
 
-// Pop removes and returns the head-of-line packet for a client.
+// Pop removes and returns the head-of-line packet for a client. The FIFO
+// shifts in place, so a client's storage is reused for its whole life.
 func (q *Queue) Pop(client int) (Packet, bool) {
 	f := q.fifos[client]
 	if len(f) == 0 {
 		return Packet{}, false
 	}
 	p := f[0]
-	q.fifos[client] = f[1:]
+	n := copy(f, f[1:])
+	f[n] = Packet{}
+	q.fifos[client] = f[:n]
 	q.size--
+	if n == 0 {
+		i, _ := slices.BinarySearch(q.backlog, client)
+		q.backlog = slices.Delete(q.backlog, i, i+1)
+	}
 	return p, true
+}
+
+// popHeads pops the head packet of each client in turn, appending the
+// packets to dst.
+func (q *Queue) popHeads(dst []Packet, clients []int) []Packet {
+	for _, cl := range clients {
+		if p, ok := q.Pop(cl); ok {
+			dst = append(dst, p)
+		}
+	}
+	return dst
 }
 
 // Backlogged returns the clients with at least one queued packet, in
 // ascending client order (deterministic).
-func (q *Queue) Backlogged() []int {
-	var out []int
-	max := -1
-	for c, f := range q.fifos {
-		if len(f) > 0 && c > max {
-			max = c
-		}
-	}
-	for c := 0; c <= max; c++ {
-		if len(q.fifos[c]) > 0 {
-			out = append(out, c)
-		}
-	}
-	return out
-}
+func (q *Queue) Backlogged() []int { return slices.Clone(q.backlog) }
 
 // EligibleFor returns the backlogged clients whose head-of-line packet is
 // tagged with the given antenna — the tag filter of §3.2.4. A packet with
 // no tags is eligible on every antenna (the CAS behaviour).
 func (q *Queue) EligibleFor(antenna int) []int {
 	var out []int
-	for _, c := range q.Backlogged() {
-		p, _ := q.Head(c)
-		if len(p.Tags) == 0 {
+	for _, c := range q.backlog {
+		if q.tagged(c, antenna) {
 			out = append(out, c)
-			continue
-		}
-		for _, tag := range p.Tags {
-			if tag == antenna {
-				out = append(out, c)
-				break
-			}
 		}
 	}
 	return out
+}
+
+// tagged reports whether backlogged client c's head-of-line packet is
+// eligible on the antenna.
+func (q *Queue) tagged(c, antenna int) bool {
+	tags := q.fifos[c][0].Tags
+	return len(tags) == 0 || slices.Contains(tags, antenna)
 }

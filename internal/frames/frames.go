@@ -151,10 +151,14 @@ func getDuration(b []byte) time.Duration {
 }
 
 // Encode serialises a frame and appends the 4-byte FCS.
-func Encode(f Frame) []byte {
-	body := f.AppendTo(nil)
-	fcs := crc32.ChecksumIEEE(body)
-	return binary.LittleEndian.AppendUint32(body, fcs)
+func Encode(f Frame) []byte { return AppendEncode(nil, f) }
+
+// AppendEncode appends the encoded frame, FCS included, to dst.
+func AppendEncode(dst []byte, f Frame) []byte {
+	n := len(dst)
+	dst = f.AppendTo(dst)
+	fcs := crc32.ChecksumIEEE(dst[n:])
+	return binary.LittleEndian.AppendUint32(dst, fcs)
 }
 
 // Decode verifies the FCS and parses the frame.
@@ -505,7 +509,11 @@ func (f *NDPA) decodeFrom(body []byte) error {
 	if len(body) < 18+3*n {
 		return ErrTruncated
 	}
-	f.STAs = make([]STAInfo, n)
+	// A Parser's frame reuses its STAs storage; a fresh frame gets its own.
+	if f.STAs == nil || cap(f.STAs) < n {
+		f.STAs = make([]STAInfo, n)
+	}
+	f.STAs = f.STAs[:n]
 	for i := 0; i < n; i++ {
 		off := 18 + 3*i
 		f.STAs[i] = STAInfo{

@@ -38,6 +38,7 @@ type Rx struct {
 	// collided; such frames still raised energy on the medium.
 	Decodable bool
 	From      int // transmission ID
+	Sender    int // the transmitter's Tx.Sender tag
 	Start     time.Duration
 	End       time.Duration
 }
@@ -56,6 +57,9 @@ type Tx struct {
 	PowerDBm float64
 	Airtime  time.Duration
 	Data     []byte
+	// Sender is an opaque tag the medium copies into every Rx of this
+	// transmission, so a transmitter can recognise its own frames.
+	Sender int
 }
 
 // Air is the shared radio medium: it tracks active transmissions, answers
@@ -86,6 +90,7 @@ type Air struct {
 	nextLis   int
 	active    []*activeTx
 	nextTx    int
+	freeTx    []*activeTx // ended transmissions, ready for reuse
 	watchers  []*watcher
 	nextWatch int
 
@@ -116,15 +121,23 @@ type emitter struct {
 	slot int
 }
 
+// activeTx is one transmission in flight. Records are recycled once
+// the transmission has been delivered, together with their slices.
 type activeTx struct {
-	id    int
-	em    emitter
-	data  []byte
-	start time.Duration
-	end   time.Duration
+	id     int
+	em     emitter
+	data   []byte
+	sender int
+	start  time.Duration
+	end    time.Duration
 	// overlap lists the transmissions that overlapped this one, in
 	// ascending id order (a later overlapper always has a larger id).
 	overlap []overlapSpan
+	// spanAnts backs the overlap spans' antenna ids: a span copies its
+	// interferer's ids, so no record shares slices with another.
+	spanAnts []int32
+	// done fires endTx for this record; it is bound once per record.
+	done Timer
 }
 
 // overlapSpan records an interfering transmission and the interval over
@@ -132,6 +145,14 @@ type activeTx struct {
 type overlapSpan struct {
 	em       emitter
 	from, to time.Duration
+}
+
+// addOverlap records that the emitter em overlaps at over [from, to).
+func (at *activeTx) addOverlap(em emitter, from, to time.Duration) {
+	lo := len(at.spanAnts)
+	at.spanAnts = append(at.spanAnts, em.ants...)
+	ants := at.spanAnts[lo:len(at.spanAnts):len(at.spanAnts)]
+	at.overlap = append(at.overlap, overlapSpan{em: emitter{ants: ants, slot: em.slot}, from: from, to: to})
 }
 
 // NewAir creates a medium bound to the engine with the given propagation
@@ -286,40 +307,54 @@ func (a *Air) StartTx(tx Tx) (int, error) {
 	id := a.nextTx
 	a.nextTx++
 	now := a.Eng.Now()
-	at := &activeTx{
-		id:      id,
-		em:      a.emitterOf(tx),
-		data:    tx.Data,
-		start:   now,
-		end:     now + tx.Airtime,
-		overlap: make([]overlapSpan, 0, len(a.active)),
-	}
+	at := a.newActiveTx()
+	at.id = id
+	at.em = a.emitterOf(tx, at.em.ants[:0])
+	at.data = tx.Data
+	at.sender = tx.Sender
+	at.start = now
+	at.end = now + tx.Airtime
 	// Mutual overlap bookkeeping with everything currently active.
 	for _, other := range a.active {
 		to := at.end
 		if other.end < to {
 			to = other.end
 		}
-		other.overlap = append(other.overlap, overlapSpan{em: at.em, from: now, to: to})
-		at.overlap = append(at.overlap, overlapSpan{em: other.em, from: now, to: to})
+		other.addOverlap(at.em, now, to)
+		at.addOverlap(other.em, now, to)
 	}
 	a.active = append(a.active, at)
-	a.Eng.Schedule(tx.Airtime, func() { a.endTx(at) })
+	at.done.Reset(tx.Airtime)
 	a.notifyWatchers()
 	return id, nil
 }
 
-// emitterOf interns a transmission's antennas and transmit power,
-// syncing the link table first.
-func (a *Air) emitterOf(tx Tx) emitter {
+// newActiveTx returns an emptied record, recycled when one is free.
+func (a *Air) newActiveTx() *activeTx {
+	if n := len(a.freeTx); n > 0 {
+		at := a.freeTx[n-1]
+		a.freeTx[n-1] = nil
+		a.freeTx = a.freeTx[:n-1]
+		return at
+	}
+	at := &activeTx{}
+	at.done.Bind(a.Eng, func() { a.endTx(at) })
+	return at
+}
+
+// emitterOf interns a transmission's antennas (into ants, reusing its
+// storage) and transmit power, syncing the link table first.
+func (a *Air) emitterOf(tx Tx, ants []int32) emitter {
 	t := a.table()
-	e := emitter{ants: make([]int32, len(tx.Antennas)), slot: t.slot(tx.PowerDBm)}
-	for i, p := range tx.Antennas {
-		e.ants[i] = t.id(p)
+	e := emitter{ants: ants, slot: t.slot(tx.PowerDBm)}
+	for _, p := range tx.Antennas {
+		e.ants = append(e.ants, t.id(p))
 	}
 	return e
 }
 
+// endTx retires a transmission, delivers it to every listener and
+// recycles its record.
 func (a *Air) endTx(at *activeTx) {
 	t := a.table()
 	if i, ok := findID(a.active, at.id, func(at *activeTx) int { return at.id }); ok {
@@ -341,11 +376,16 @@ func (a *Air) endTx(at *activeTx) {
 			SINRdB:    sinr,
 			Decodable: sig >= minPower && sinr >= a.CaptureSINRdB,
 			From:      at.id,
+			Sender:    at.sender,
 			Start:     at.start,
 			End:       at.end,
 		}
 		l.fn(rx)
 	}
+	at.data = nil
+	at.overlap = at.overlap[:0]
+	at.spanAnts = at.spanAnts[:0]
+	a.freeTx = append(a.freeTx, at)
 }
 
 // DecodeRange returns the free-space distance at which a single antenna

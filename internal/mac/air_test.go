@@ -196,7 +196,7 @@ func TestMultiAntennaTxPower(t *testing.T) {
 		PowerDBm: 20,
 	}
 	pos := geom.Pt(1, 0)
-	em := a.emitterOf(tx)
+	em := a.emitterOf(tx, nil)
 	to := a.links.id(pos)
 	best := a.links.powerFrom(em, to)
 	sum := a.links.sumPowerFrom(em, to)

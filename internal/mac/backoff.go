@@ -14,16 +14,14 @@ import (
 type Backoff struct {
 	Params EDCAParams
 
-	eng     *Engine
 	src     *rng.Source
 	granted func()
-	// tick is b.tickSlot bound once: a method value allocates each time
-	// it is taken, and a contender schedules one per idle slot.
-	tick func()
+	// timer runs b.tickSlot, bound once and re-armed in place: a
+	// contender arms it once per idle slot.
+	timer Timer
 
 	cw        int
 	slotsLeft int
-	timer     *Timer
 	running   bool
 	busy      bool
 }
@@ -32,12 +30,11 @@ type Backoff struct {
 func NewBackoff(eng *Engine, params EDCAParams, src *rng.Source, granted func()) *Backoff {
 	b := &Backoff{
 		Params:  params,
-		eng:     eng,
 		src:     src,
 		granted: granted,
 		cw:      params.CWMin,
 	}
-	b.tick = b.tickSlot
+	b.timer.Bind(eng, b.tickSlot)
 	return b
 }
 
@@ -59,10 +56,7 @@ func (b *Backoff) Running() bool { return b.running }
 // (physical or virtual carrier sense); it freezes the countdown.
 func (b *Backoff) MediumBusy() {
 	b.busy = true
-	if b.timer != nil {
-		b.timer.Cancel()
-		b.timer = nil
-	}
+	b.timer.Stop()
 }
 
 // MediumIdle must be called when the medium becomes idle again; the
@@ -82,10 +76,7 @@ func (b *Backoff) resume() {
 	if b.busy {
 		return
 	}
-	if b.timer != nil {
-		b.timer.Cancel()
-	}
-	b.timer = b.eng.Schedule(b.Params.AIFS(), b.tick)
+	b.timer.Reset(b.Params.AIFS())
 }
 
 // tickSlot consumes one idle backoff slot, granting at zero.
@@ -95,12 +86,11 @@ func (b *Backoff) tickSlot() {
 	}
 	if b.slotsLeft <= 0 {
 		b.running = false
-		b.timer = nil
 		b.granted()
 		return
 	}
 	b.slotsLeft--
-	b.timer = b.eng.Schedule(SlotTime, b.tick)
+	b.timer.Reset(SlotTime)
 }
 
 // Collision doubles the contention window (up to CWMax) and starts a new
@@ -124,8 +114,5 @@ func (b *Backoff) CW() int { return b.cw }
 // Stop aborts the current cycle.
 func (b *Backoff) Stop() {
 	b.running = false
-	if b.timer != nil {
-		b.timer.Cancel()
-		b.timer = nil
-	}
+	b.timer.Stop()
 }

@@ -148,3 +148,32 @@ func TestBackoffContentionBetweenTwoStations(t *testing.T) {
 		t.Fatal("one contender never granted")
 	}
 }
+
+// TestBackoffCountdownZeroAlloc: a contender counting down, freezing on
+// a busy medium, resuming and winning allocates nothing per slot — its
+// tick Timer is re-armed in place (run by `make alloc-guard`).
+func TestBackoffCountdownZeroAlloc(t *testing.T) {
+	e := NewEngine()
+	params := DefaultEDCA(ACBestEffort)
+	params.CWMin = 63
+	var b *Backoff
+	grants := 0
+	b = NewBackoff(e, params, rng.New(9), func() {
+		grants++
+		b.Start()
+	})
+	b.Start()
+	e.Run(e.Now() + 100*SlotTime) // builds the lazy rng stream
+	allocs := testing.AllocsPerRun(100, func() {
+		e.Run(e.Now() + 100*SlotTime)
+		b.MediumBusy()
+		e.Run(e.Now() + 3*SlotTime)
+		b.MediumIdle()
+	})
+	if allocs != 0 {
+		t.Errorf("backoff countdown allocates %v per 100 slots, want 0", allocs)
+	}
+	if grants == 0 {
+		t.Error("contender never won: the countdown did not run")
+	}
+}

@@ -7,12 +7,20 @@ package mac
 
 import "time"
 
-// Engine is a deterministic discrete-event simulator. Events scheduled at
-// the same instant fire in scheduling order.
+// Engine is a deterministic discrete-event simulator. Events fire in
+// (time, arming order): events armed for the same instant fire in the
+// order they were armed.
+//
+// An event is either a one-shot function (Schedule, At), which cannot be
+// cancelled, or an owner-held Timer, which can be stopped and re-armed.
+// One-shot events come from an engine-owned free list and return to it
+// when they fire; since no handle to them escapes, recycling is safe and
+// steady-state scheduling allocates nothing.
 type Engine struct {
-	now time.Duration
-	pq  []*Timer // binary min-heap on (at, seq)
-	seq uint64
+	now  time.Duration
+	pq   []*Timer // binary min-heap on (at, seq)
+	seq  uint64
+	free []*Timer // fired one-shot events, ready for reuse
 }
 
 // NewEngine returns an engine with the clock at zero.
@@ -22,25 +30,26 @@ func NewEngine() *Engine { return &Engine{} }
 func (e *Engine) Now() time.Duration { return e.now }
 
 // Schedule runs fn after delay (relative to the current time). A negative
-// delay is treated as zero. It returns a handle that can cancel the event.
-func (e *Engine) Schedule(delay time.Duration, fn func()) *Timer {
+// delay is treated as zero.
+func (e *Engine) Schedule(delay time.Duration, fn func()) {
 	if delay < 0 {
 		delay = 0
 	}
-	return e.At(e.now+delay, fn)
+	e.At(e.now+delay, fn)
 }
 
-// At runs fn at absolute time t (clamped to now). The returned Timer is
-// the queued event itself, so scheduling allocates one object.
-func (e *Engine) At(t time.Duration, fn func()) *Timer {
-	if t < e.now {
-		t = e.now
+// At runs fn at absolute time t (clamped to now).
+func (e *Engine) At(t time.Duration, fn func()) {
+	var ev *Timer
+	if n := len(e.free); n > 0 {
+		ev = e.free[n-1]
+		e.free[n-1] = nil
+		e.free = e.free[:n-1]
+	} else {
+		ev = &Timer{eng: e, oneShot: true}
 	}
-	ev := &Timer{at: t, seq: e.seq, fn: fn}
-	e.seq++
-	e.pq = append(e.pq, ev)
-	e.up(len(e.pq) - 1)
-	return ev
+	ev.fn = fn
+	ev.ResetAt(t)
 }
 
 // Run processes events until the queue is empty or the clock would pass
@@ -52,13 +61,13 @@ func (e *Engine) Run(until time.Duration) int {
 		if next.at > until {
 			break
 		}
-		e.pop()
-		if next.cancelled {
-			continue
-		}
+		e.remove(0)
 		e.now = next.at
 		fn := next.fn
-		next.fn = nil // a fired event keeps nothing reachable
+		if next.oneShot {
+			next.fn = nil // a recycled event keeps nothing reachable
+			e.free = append(e.free, next)
+		}
 		fn()
 		n++
 	}
@@ -68,31 +77,69 @@ func (e *Engine) Run(until time.Duration) int {
 	return n
 }
 
-// Pending returns the number of queued (possibly cancelled) events.
+// Pending returns the number of queued events. A stopped Timer leaves
+// the queue at once, so every counted event will fire.
 func (e *Engine) Pending() int { return len(e.pq) }
 
-// Timer is a scheduled event and the handle that cancels it. An event is
-// never reused, so a Timer kept past its event's firing cannot affect
-// any later event.
+// Timer is a cancellable event held by its owner, usually as a struct
+// field: Bind it once, then arm it with Reset or ResetAt and cancel it
+// with Stop as often as needed. A Timer is queued at most once; arming
+// a queued Timer moves it. The zero Timer must be bound before use.
 type Timer struct {
-	at        time.Duration
-	seq       uint64
-	fn        func()
-	cancelled bool
+	eng *Engine
+	fn  func()
+	at  time.Duration
+	seq uint64
+	// pos is 1 + the Timer's heap index while queued, 0 otherwise.
+	pos     int
+	oneShot bool
 }
 
-// Cancel prevents the event from firing. Safe to call multiple times and
-// after the event has fired.
-func (t *Timer) Cancel() {
-	if t != nil {
-		t.cancelled = true
+// Bind attaches the Timer to an engine and the function it runs when it
+// fires. Bind an unqueued Timer only.
+func (t *Timer) Bind(e *Engine, fn func()) {
+	t.eng, t.fn = e, fn
+}
+
+// Reset arms the Timer to fire after delay (negative delays are zero),
+// replacing any pending firing.
+func (t *Timer) Reset(delay time.Duration) {
+	if delay < 0 {
+		delay = 0
 	}
+	t.ResetAt(t.eng.now + delay)
 }
 
-// Cancelled reports whether Cancel was called.
-func (t *Timer) Cancelled() bool { return t != nil && t.cancelled }
+// ResetAt arms the Timer to fire at absolute time at (clamped to now),
+// replacing any pending firing. The Timer is ordered as if scheduled
+// now: after every event already armed for the same instant.
+func (t *Timer) ResetAt(at time.Duration) {
+	e := t.eng
+	if at < e.now {
+		at = e.now
+	}
+	t.at, t.seq = at, e.seq
+	e.seq++
+	if t.pos == 0 {
+		e.pq = append(e.pq, t)
+		t.pos = len(e.pq)
+		e.up(len(e.pq) - 1)
+		return
+	}
+	e.fix(t.pos - 1)
+}
 
-// before orders events by time, then by scheduling order.
+// Stop cancels the pending firing, if any, and reports whether there was
+// one. Stopping a fired or never-armed Timer does nothing.
+func (t *Timer) Stop() bool {
+	if t.pos == 0 {
+		return false
+	}
+	t.eng.remove(t.pos - 1)
+	return true
+}
+
+// before orders events by time, then by arming order.
 func before(a, b *Timer) bool {
 	if a.at != b.at {
 		return a.at < b.at
@@ -100,28 +147,34 @@ func before(a, b *Timer) bool {
 	return a.seq < b.seq
 }
 
-// up restores the heap after appending at index i.
-func (e *Engine) up(i int) {
+// swap exchanges two heap slots and their back-pointers.
+func (e *Engine) swap(i, j int) {
+	q := e.pq
+	q[i], q[j] = q[j], q[i]
+	q[i].pos = i + 1
+	q[j].pos = j + 1
+}
+
+// up moves the event at index i toward the root; it reports whether the
+// event moved.
+func (e *Engine) up(i int) bool {
+	start := i
 	q := e.pq
 	for i > 0 {
 		parent := (i - 1) / 2
 		if !before(q[i], q[parent]) {
 			break
 		}
-		q[i], q[parent] = q[parent], q[i]
+		e.swap(i, parent)
 		i = parent
 	}
+	return i != start
 }
 
-// pop removes the earliest event.
-func (e *Engine) pop() {
+// down moves the event at index i toward the leaves.
+func (e *Engine) down(i int) {
 	q := e.pq
-	last := len(q) - 1
-	q[0] = q[last]
-	q[last] = nil
-	q = q[:last]
-	e.pq = q
-	for i := 0; ; {
+	for {
 		least := i
 		if l := 2*i + 1; l < len(q) && before(q[l], q[least]) {
 			least = l
@@ -132,7 +185,30 @@ func (e *Engine) pop() {
 		if least == i {
 			return
 		}
-		q[i], q[least] = q[least], q[i]
+		e.swap(i, least)
 		i = least
+	}
+}
+
+// fix restores the heap after the key at index i changed.
+func (e *Engine) fix(i int) {
+	if !e.up(i) {
+		e.down(i)
+	}
+}
+
+// remove takes the event at index i off the heap.
+func (e *Engine) remove(i int) {
+	q := e.pq
+	last := len(q) - 1
+	ev := q[i]
+	if i != last {
+		e.swap(i, last)
+	}
+	q[last] = nil
+	e.pq = q[:last]
+	ev.pos = 0
+	if i != last {
+		e.fix(i)
 	}
 }

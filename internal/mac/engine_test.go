@@ -92,20 +92,37 @@ func TestEngineNegativeDelayClamps(t *testing.T) {
 func TestTimerCancel(t *testing.T) {
 	e := NewEngine()
 	fired := false
-	tm := e.Schedule(10*time.Microsecond, func() { fired = true })
-	tm.Cancel()
-	if !tm.Cancelled() {
-		t.Error("Cancelled() should be true")
+	var tm Timer
+	tm.Bind(e, func() { fired = true })
+	if tm.Stop() {
+		t.Error("Stop on a never-armed Timer reported a pending firing")
+	}
+	tm.Reset(10 * time.Microsecond)
+	if e.Pending() != 1 {
+		t.Errorf("Pending() = %d after Reset, want 1", e.Pending())
+	}
+	if !tm.Stop() {
+		t.Error("Stop on an armed Timer should report the cancelled firing")
+	}
+	if e.Pending() != 0 {
+		t.Errorf("Pending() = %d after Stop, want 0", e.Pending())
 	}
 	e.Run(time.Second)
 	if fired {
-		t.Error("cancelled event fired")
+		t.Error("stopped Timer fired")
 	}
-	tm.Cancel() // idempotent
-	var nilTimer *Timer
-	nilTimer.Cancel() // safe on nil
+	if tm.Stop() { // idempotent
+		t.Error("second Stop reported a pending firing")
+	}
+	tm.Reset(time.Microsecond) // a stopped Timer re-arms
+	e.Run(2 * time.Second)
+	if !fired {
+		t.Error("re-armed Timer did not fire")
+	}
 }
 
+// TestEnginePending: Pending counts live events only — a stopped Timer
+// leaves the queue at once instead of lingering until its time.
 func TestEnginePending(t *testing.T) {
 	e := NewEngine()
 	e.Schedule(time.Microsecond, func() {})
@@ -113,7 +130,22 @@ func TestEnginePending(t *testing.T) {
 	if e.Pending() != 2 {
 		t.Errorf("Pending = %d", e.Pending())
 	}
-	e.Run(time.Second)
+	var a, b Timer
+	a.Bind(e, func() {})
+	b.Bind(e, func() {})
+	a.Reset(5 * time.Microsecond)
+	b.Reset(3 * time.Microsecond)
+	a.Reset(7 * time.Microsecond) // re-arming a queued Timer moves it
+	if e.Pending() != 4 {
+		t.Errorf("Pending with two armed Timers = %d, want 4", e.Pending())
+	}
+	a.Stop()
+	if e.Pending() != 3 {
+		t.Errorf("Pending after Stop = %d, want 3", e.Pending())
+	}
+	if n := e.Run(time.Second); n != 3 {
+		t.Errorf("Run fired %d events, want 3", n)
+	}
 	if e.Pending() != 0 {
 		t.Errorf("Pending after run = %d", e.Pending())
 	}

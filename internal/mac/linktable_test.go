@@ -2,6 +2,8 @@ package mac
 
 import (
 	"math/rand"
+	"slices"
+	"sort"
 	"testing"
 	"time"
 
@@ -130,53 +132,126 @@ func TestLinkTableDelivery(t *testing.T) {
 	}
 }
 
-// TestStaleTimerCannotCancelLaterEvent pins the Timer contract: a handle
-// kept past its event's firing refers to that event alone, so cancelling
-// it cannot cancel anything scheduled afterwards.
+// TestStaleTimerCannotCancelLaterEvent pins the Timer contract: a Timer
+// is queued only while its owner has it armed, so stopping one that has
+// fired, or was never armed, cancels nothing else — not the one-shot
+// events that reuse the fired event storage, nor other Timers.
 func TestStaleTimerCannotCancelLaterEvent(t *testing.T) {
 	e := NewEngine()
-	stale := e.Schedule(time.Microsecond, func() {})
+	var fired, unarmed Timer
+	fired.Bind(e, func() {})
+	unarmed.Bind(e, func() {})
+	fired.Reset(time.Microsecond)
+	e.Schedule(time.Microsecond, func() {}) // its storage is recycled below
 	e.Run(2 * time.Microsecond)
-	fired := 0
+	count := 0
 	for i := 0; i < 100; i++ {
-		e.Schedule(time.Microsecond, func() { fired++ })
+		e.Schedule(time.Duration(i%5)*time.Microsecond, func() { count++ })
 	}
-	stale.Cancel()
+	others := make([]Timer, 10)
+	for i := range others {
+		others[i].Bind(e, func() { count++ })
+		others[i].Reset(time.Duration(i%3) * time.Microsecond)
+	}
+	if fired.Stop() || unarmed.Stop() {
+		t.Error("Stop on a fired or unarmed Timer reported a pending firing")
+	}
+	if e.Pending() != 110 {
+		t.Errorf("Pending = %d after stale Stops, want 110", e.Pending())
+	}
 	e.Run(time.Second)
-	if fired != 100 {
-		t.Errorf("%d of 100 later events fired after a stale Cancel", fired)
+	if count != 110 {
+		t.Errorf("%d of 110 later events fired after stale Stops", count)
 	}
 }
 
-// TestEngineOrderMatchesSort drives the heap with random times and
-// cancellations and checks events fire in (time, scheduling) order.
+// TestEngineOrderMatchesSort is a random differential test of the event
+// queue against a reference model that keeps every live event in a list
+// and fires them sorted by (time, arming order). The operations mix
+// one-shot schedules (including ones in the past, which clamp to now),
+// Timer arming, re-arming while queued, Stop while queued, Stop after
+// firing, and partial Runs.
 func TestEngineOrderMatchesSort(t *testing.T) {
-	r := rand.New(rand.NewSource(3))
+	for seed := int64(1); seed <= 20; seed++ {
+		checkEngineAgainstModel(t, seed)
+	}
+}
+
+func checkEngineAgainstModel(t *testing.T, seed int64) {
+	r := rand.New(rand.NewSource(seed))
 	e := NewEngine()
-	type stamp struct {
-		at  time.Duration
-		seq int
+	type ev struct {
+		at    time.Duration
+		seq   int
+		label int
 	}
-	var fired []stamp
-	var want []stamp
-	for i := 0; i < 2000; i++ {
-		at := time.Duration(r.Intn(50)) * time.Microsecond
-		s := stamp{at, i}
-		tm := e.At(at, func() { fired = append(fired, s) })
-		if r.Intn(4) == 0 {
-			tm.Cancel()
-			continue
+	var live []ev // the reference model's queue
+	seq := 0
+	var now time.Duration
+	var fired []int
+	arm := func(at time.Duration, label int) {
+		if at < now {
+			at = now
 		}
-		want = append(want, s)
+		live = append(live, ev{at, seq, label})
+		seq++
 	}
-	e.Run(time.Second)
-	if len(fired) != len(want) {
-		t.Fatalf("fired %d events, want %d", len(fired), len(want))
+	unqueue := func(label int) bool {
+		for i, x := range live {
+			if x.label == label {
+				live = append(live[:i], live[i+1:]...)
+				return true
+			}
+		}
+		return false
 	}
-	for i := 1; i < len(fired); i++ {
-		p, c := fired[i-1], fired[i]
-		if c.at < p.at || (c.at == p.at && c.seq < p.seq) {
-			t.Fatalf("event %v fired after %v", c, p)
+	const nTimers = 8
+	timers := make([]Timer, nTimers)
+	for k := range timers {
+		k := k
+		timers[k].Bind(e, func() { fired = append(fired, -1-k) })
+	}
+	nextLabel := 0
+	for step := 0; step < 3000; step++ {
+		at := now + time.Duration(r.Intn(60)-10)*time.Microsecond
+		switch op := r.Intn(10); {
+		case op < 4:
+			label := nextLabel
+			nextLabel++
+			e.At(at, func() { fired = append(fired, label) })
+			arm(at, label)
+		case op < 7:
+			k := r.Intn(nTimers)
+			timers[k].ResetAt(at)
+			unqueue(-1 - k)
+			arm(at, -1-k)
+		case op < 9:
+			k := r.Intn(nTimers)
+			if got, want := timers[k].Stop(), unqueue(-1-k); got != want {
+				t.Fatalf("seed %d step %d: Stop = %v, model says %v", seed, step, got, want)
+			}
+		default:
+			until := now + time.Duration(r.Intn(40))*time.Microsecond
+			fired = fired[:0]
+			e.Run(until)
+			sort.Slice(live, func(i, j int) bool {
+				if live[i].at != live[j].at {
+					return live[i].at < live[j].at
+				}
+				return live[i].seq < live[j].seq
+			})
+			var want []int
+			for len(live) > 0 && live[0].at <= until {
+				want = append(want, live[0].label)
+				live = live[1:]
+			}
+			now = until
+			if !slices.Equal(fired, want) {
+				t.Fatalf("seed %d step %d: fired %v, want %v", seed, step, fired, want)
+			}
+		}
+		if e.Pending() != len(live) {
+			t.Fatalf("seed %d step %d: Pending = %d, model has %d live events", seed, step, e.Pending(), len(live))
 		}
 	}
 }
@@ -203,19 +278,23 @@ func TestAirQueriesZeroAlloc(t *testing.T) {
 	}
 }
 
-// TestEngineScheduleAllocs: scheduling and running an event costs at
-// most the event itself.
+// TestEngineScheduleAllocs: in steady state, scheduling and running an
+// event, or re-arming a Timer, allocates nothing — fired one-shot events
+// are recycled and Timers live in their owners.
 func TestEngineScheduleAllocs(t *testing.T) {
 	e := NewEngine()
 	fn := func() {}
+	var tm Timer
+	tm.Bind(e, fn)
 	const batch = 64
 	allocs := testing.AllocsPerRun(100, func() {
 		for i := 0; i < batch; i++ {
 			e.Schedule(time.Duration(i%7)*time.Microsecond, fn)
+			tm.Reset(time.Duration(i%5) * time.Microsecond)
 		}
 		e.Run(e.Now() + time.Millisecond)
 	})
-	if per := allocs / batch; per > 1 {
-		t.Errorf("Engine.Schedule + Run allocate %v per event, want <= 1", per)
+	if per := allocs / batch; per != 0 {
+		t.Errorf("Engine.Schedule + Timer.Reset + Run allocate %v per event, want 0", per)
 	}
 }

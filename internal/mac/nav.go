@@ -56,35 +56,35 @@ func (t *Table) Busy(k int, now time.Duration) bool { return t.navs[k].Busy(now)
 // Expiry returns antenna k's NAV expiry.
 func (t *Table) Expiry(k int) time.Duration { return t.navs[k].Expiry() }
 
-// Idle returns the antennas whose NAVs are clear at now.
-func (t *Table) Idle(now time.Duration) []int {
-	var idle []int
+// Idle appends to dst the antennas whose NAVs are clear at now.
+func (t *Table) Idle(dst []int, now time.Duration) []int {
 	for k := range t.navs {
 		if !t.navs[k].Busy(now) {
-			idle = append(idle, k)
+			dst = append(dst, k)
 		}
 	}
-	return idle
+	return dst
 }
 
-// ExpiringWithin returns the antennas whose NAVs are busy at now but
-// expire within the window — the candidates MIDAS's opportunistic antenna
-// selection waits for (§3.2.3).
-func (t *Table) ExpiringWithin(now, window time.Duration) []int {
-	var soon []int
+// ExpiringWithin appends to dst the antennas whose NAVs are busy at now
+// but expire within the window — the candidates MIDAS's opportunistic
+// antenna selection waits for (§3.2.3).
+func (t *Table) ExpiringWithin(dst []int, now, window time.Duration) []int {
 	for k := range t.navs {
 		if t.navs[k].Busy(now) && t.navs[k].Expiry() <= now+window {
-			soon = append(soon, k)
+			dst = append(dst, k)
 		}
 	}
-	return soon
+	return dst
 }
 
-// ByExpiry returns the given antennas ordered by NAV expiry (earliest
-// first, ties by index) — the order MIDAS considers antennas for client
-// selection (§3.2.5).
-func (t *Table) ByExpiry(antennas []int) []int {
-	out := append([]int(nil), antennas...)
+// ByExpiry appends the given antennas to dst ordered by NAV expiry
+// (earliest first, ties by index) — the order MIDAS considers antennas
+// for client selection (§3.2.5). dst must not overlap antennas.
+func (t *Table) ByExpiry(dst, antennas []int) []int {
+	n := len(dst)
+	dst = append(dst, antennas...)
+	out := dst[n:]
 	// insertion sort: antenna counts are tiny
 	for i := 1; i < len(out); i++ {
 		for j := i; j > 0; j-- {
@@ -97,5 +97,5 @@ func (t *Table) ByExpiry(antennas []int) []int {
 			}
 		}
 	}
-	return out
+	return dst
 }

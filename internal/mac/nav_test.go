@@ -45,7 +45,7 @@ func TestTableIndependentNAVs(t *testing.T) {
 	if !tab.Busy(1, us(10)) || !tab.Busy(3, us(10)) {
 		t.Error("updated antennas should be busy")
 	}
-	idle := tab.Idle(us(60))
+	idle := tab.Idle(nil, us(60))
 	if !reflect.DeepEqual(idle, []int{0, 2, 3}) {
 		t.Errorf("Idle = %v", idle)
 	}
@@ -67,11 +67,11 @@ func TestExpiringWithin(t *testing.T) {
 	tab.Update(1, us(500)) // expires at 500
 	tab.Update(2, us(130)) // expires at 130
 	// antenna 3 idle
-	got := tab.ExpiringWithin(us(95), us(40)) // window [95,135]
+	got := tab.ExpiringWithin(nil, us(95), us(40)) // window [95,135]
 	if !reflect.DeepEqual(got, []int{0, 2}) {
 		t.Errorf("ExpiringWithin = %v, want [0 2]", got)
 	}
-	if got := tab.ExpiringWithin(us(95), 0); len(got) != 0 {
+	if got := tab.ExpiringWithin(nil, us(95), 0); len(got) != 0 {
 		t.Errorf("zero window should match nothing, got %v", got)
 	}
 }
@@ -82,7 +82,7 @@ func TestByExpiry(t *testing.T) {
 	tab.Update(1, us(100))
 	tab.Update(2, us(200))
 	// antenna 3 never updated: expiry 0, earliest.
-	got := tab.ByExpiry([]int{0, 1, 2, 3})
+	got := tab.ByExpiry(nil, []int{0, 1, 2, 3})
 	if !reflect.DeepEqual(got, []int{3, 1, 2, 0}) {
 		t.Errorf("ByExpiry = %v", got)
 	}
@@ -90,14 +90,18 @@ func TestByExpiry(t *testing.T) {
 	tab2 := NewTable(3)
 	tab2.Update(2, us(50))
 	tab2.Update(1, us(50))
-	if got := tab2.ByExpiry([]int{2, 1}); !reflect.DeepEqual(got, []int{1, 2}) {
+	if got := tab2.ByExpiry(nil, []int{2, 1}); !reflect.DeepEqual(got, []int{1, 2}) {
 		t.Errorf("tie-break = %v, want [1 2]", got)
 	}
 	// Input not mutated.
 	in := []int{2, 0}
-	tab.ByExpiry(in)
+	tab.ByExpiry(nil, in)
 	if !reflect.DeepEqual(in, []int{2, 0}) {
 		t.Error("ByExpiry mutated its input")
+	}
+	// Appends after dst's contents.
+	if got := tab.ByExpiry([]int{9}, []int{0, 1}); !reflect.DeepEqual(got, []int{9, 1, 0}) {
+		t.Errorf("ByExpiry with dst = %v, want [9 1 0]", got)
 	}
 }
 

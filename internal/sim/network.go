@@ -104,11 +104,6 @@ func (n *Network) MeanGroupSize() float64 {
 	return float64(n.TotalStreams()) / float64(n.TotalTXOPs())
 }
 
-// airTx assembles a mac.Tx from antenna positions and an encoded frame.
-func airTx(antennas []geom.Point, powerDBm float64, airtime time.Duration, data []byte) mac.Tx {
-	return mac.Tx{Antennas: antennas, PowerDBm: powerDBm, Airtime: airtime, Data: data}
-}
-
 // OverhearingSource searches derived random sources until the obstruction
 // field it would induce lets every AP pair in the deployment sense each
 // other — the §5.4 testbed premise ("three APs that can overhear each

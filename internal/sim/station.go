@@ -8,6 +8,8 @@ import (
 	"time"
 
 	"repro/internal/core"
+	"repro/internal/frames"
+	"repro/internal/geom"
 	"repro/internal/mac"
 	"repro/internal/phy"
 	"repro/internal/precoding"
@@ -110,7 +112,17 @@ type Station struct {
 	inTXOP   bool
 	src      *rng.Source
 	traffic  *rng.Source
-	ownTxs   map[int]bool
+
+	// Scratch reused by every TXOP. A station runs one TXOP at a time,
+	// and each buffer is dead before the next TXOP fills it.
+	physBusyFn func(local int) bool // reads physBusy; bound once
+	navExpired []func()             // per contender: re-sense at a NAV expiry
+	positions  []geom.Point
+	survivors  []int
+	ndpa       frames.NDPA
+	dataHdr    frames.QoSData
+	ndpaBuf    []byte
+	dataBuf    []byte
 
 	// solver and rates are the station's reusable precoding state: one
 	// precoder is computed per TXOP for the station's whole lifetime, so
@@ -139,6 +151,7 @@ func newStation(net *Network, id int, opts StationOpts) *Station {
 		solver:   precoding.NewSolver(),
 	}
 	st.traffic = st.src.Split("traffic")
+	st.physBusyFn = func(local int) bool { return st.physBusy[local] }
 	sched := opts.Scheduler
 	if sched == nil {
 		switch opts.SchedulerName {
@@ -237,6 +250,7 @@ func (st *Station) installRadios() {
 		st.physBusy = make([]bool, len(st.antennas))
 		for i, a := range st.antennas {
 			i, a := i, a
+			st.navExpired = append(st.navExpired, func() { st.mediumChanged(i) })
 			pos := st.net.Dep.Antennas[a].Pos
 			params := mac.DefaultEDCA(mac.ACBestEffort)
 			st.backoffs[i] = mac.NewBackoff(eng, params, st.src.SplitN("backoff", i),
@@ -250,6 +264,7 @@ func (st *Station) installRadios() {
 	} else {
 		st.backoffs = make([]*mac.Backoff, 1)
 		st.physBusy = make([]bool, 1)
+		st.navExpired = []func(){func() { st.mediumChanged(0) }}
 		pos := st.net.Dep.APs[st.ID]
 		params := mac.DefaultEDCA(mac.ACBestEffort)
 		st.backoffs[0] = mac.NewBackoff(eng, params, st.src.Split("backoff"),
@@ -301,7 +316,7 @@ func (st *Station) overheard(i int, rx mac.Rx) {
 	if !rx.Decodable || rx.Data == nil {
 		return
 	}
-	if st.ownTx(rx.From) {
+	if rx.Sender == st.sender() {
 		return
 	}
 	f, err := st.net.parser.Parse(rx.Data)
@@ -316,10 +331,9 @@ func (st *Station) overheard(i int, rx mac.Rx) {
 	}
 	// NAV start freezes backoff; expiry re-evaluates the medium.
 	st.mediumChanged(i)
-	st.net.Eng.At(until, func() { st.mediumChanged(i) })
+	st.net.Eng.At(until, st.navExpired[i])
 }
 
-func (st *Station) ownTx(txID int) bool {
-	_, ok := st.ownTxs[txID]
-	return ok
-}
+// sender is the station's mac.Tx.Sender tag, by which it recognises its
+// own frames; 0 stays free for transmissions no station sent.
+func (st *Station) sender() int { return st.ID + 1 }

@@ -27,8 +27,7 @@ func (st *Station) granted(winnerAntenna int) {
 	var antennas []int
 	waitUntil := now
 	if st.midas != nil {
-		antennas, waitUntil = st.midas.SelectAntennas(winnerAntenna, now,
-			func(local int) bool { return st.physBusy[local] })
+		antennas, waitUntil = st.midas.SelectAntennas(winnerAntenna, now, st.physBusyFn)
 	} else {
 		antennas = st.cas.SelectAntennas()
 	}
@@ -73,21 +72,22 @@ func (st *Station) beginTXOP(antennas []int) {
 	// The NDPA's Duration field reserves the rest of the TXOP for
 	// overhearers' NAVs (§3.3).
 	reservation := mac.SIFS + dataDur + mac.SIFS + baDur
-	ndpa := &frames.NDPA{
+	st.ndpa = frames.NDPA{
 		Duration: reservation,
 		RA:       frames.Broadcast,
 		TA:       frames.MkAddr(0xA0, uint32(st.ID)),
 		Token:    uint8(st.TXOPs),
+		STAs:     st.ndpa.STAs[:0],
 	}
 	for _, cl := range clients {
-		ndpa.STAs = append(ndpa.STAs, frames.STAInfo{AID: uint16(cl + 1), Feedback: 1})
+		st.ndpa.STAs = append(st.ndpa.STAs, frames.STAInfo{AID: uint16(cl + 1), Feedback: 1})
 	}
-	id, err := st.net.Air.StartTx(airTx(positions, st.net.P.TxPowerDBm, soundDur, frames.Encode(ndpa)))
+	st.ndpaBuf = frames.AppendEncode(st.ndpaBuf[:0], &st.ndpa)
+	id, err := st.net.Air.StartTx(st.airTx(positions, soundDur, st.ndpaBuf))
 	if err != nil {
 		st.abortTXOP()
 		return
 	}
-	st.rememberTx(id)
 	st.SoundingOvhd += soundDur
 	// Clients whose sounding exchange is jammed by a colliding
 	// transmission drop out of the group; if nobody survives, the TXOP
@@ -106,11 +106,12 @@ func (st *Station) beginTXOP(antennas []int) {
 }
 
 // soundingSurvivors returns the clients whose sounding exchange decoded
-// cleanly given the transmissions that overlapped it.
+// cleanly given the transmissions that overlapped it. The result is
+// station scratch, valid until the next TXOP's sounding ends.
 func (st *Station) soundingSurvivors(txID int, clients []int) []int {
 	noise := st.net.noiseLin
 	capture := stats.Linear(st.net.Air.CaptureSINRdB)
-	var out []int
+	out := st.survivors[:0]
 	for _, cl := range clients {
 		pos := st.net.Dep.Clients[cl]
 		sig := st.net.Air.TxSignalAt(txID, pos)
@@ -119,6 +120,7 @@ func (st *Station) soundingSurvivors(txID int, clients []int) []int {
 			out = append(out, cl)
 		}
 	}
+	st.survivors = out
 	return out
 }
 
@@ -151,19 +153,19 @@ func (st *Station) dataPhase(antennas, clients []int, dataDur, baDur time.Durati
 
 	// Announce the burst (NAV covers the BlockAck phase).
 	positions := st.antennaPositions(antennas)
-	dataHdr := &frames.QoSData{
+	st.dataHdr = frames.QoSData{
 		Duration: mac.SIFS + baDur,
 		RA:       frames.Broadcast,
 		TA:       frames.MkAddr(0xA0, uint32(st.ID)),
 		TID:      0,
 		GroupID:  uint8(st.ID + 1),
 	}
-	id, err := st.net.Air.StartTx(airTx(positions, st.net.P.TxPowerDBm, dataDur, frames.Encode(dataHdr)))
+	st.dataBuf = frames.AppendEncode(st.dataBuf[:0], &st.dataHdr)
+	id, err := st.net.Air.StartTx(st.airTx(positions, dataDur, st.dataBuf))
 	if err != nil {
 		st.abortTXOP()
 		return
 	}
-	st.rememberTx(id)
 	st.AirtimeData += dataDur
 
 	// Sample other-cell interference just before the burst ends, when the
@@ -272,22 +274,20 @@ func (st *Station) restartContention() {
 	}
 }
 
-// rememberTx records a transmission id as our own so overheard copies of
-// it do not set our NAV.
-func (st *Station) rememberTx(id int) {
-	if st.ownTxs == nil {
-		st.ownTxs = map[int]bool{}
-	}
-	st.ownTxs[id] = true
+// airTx assembles a transmission from the station's antennas at the
+// given positions, tagged with the station as its sender.
+func (st *Station) airTx(antennas []geom.Point, airtime time.Duration, data []byte) mac.Tx {
+	return mac.Tx{Antennas: antennas, PowerDBm: st.net.P.TxPowerDBm, Airtime: airtime, Data: data, Sender: st.sender()}
 }
 
-// antennaPositions maps global antenna indices to positions.
+// antennaPositions maps global antenna indices to positions, in station
+// scratch that the medium reads only while a transmission starts.
 func (st *Station) antennaPositions(antennas []int) []geom.Point {
-	pos := make([]geom.Point, len(antennas))
-	for i, a := range antennas {
-		pos[i] = st.net.Dep.Antennas[a].Pos
+	st.positions = st.positions[:0]
+	for _, a := range antennas {
+		st.positions = append(st.positions, st.net.Dep.Antennas[a].Pos)
 	}
-	return pos
+	return st.positions
 }
 
 // soundingDuration models the NDPA + NDP + per-client feedback exchange.
